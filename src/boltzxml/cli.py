@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import statistics
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .datatypes import load_value_table
@@ -32,7 +33,7 @@ from .relaxng import parse_grammar
 from .sampler import Sampler, SamplerConfig, SizeWindow
 from .system import compile_grammar, load_system
 
-__all__ = ["main", "PipelineManifest", "build_manifest"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 1
@@ -41,59 +42,39 @@ EXIT_SOLVER = 3
 EXIT_PARTIAL = 4
 
 
-def _file_sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _sample_to_file(sampler, config, target, xml_declaration):
+    """Write one document to a temporary file beside target, then rename it.
 
-
-@dataclass
-class PipelineManifest:
-    """Digest chain tying a sampling run to its inputs.
-
-    system_digest is the digest of the system recompiled from the grammar;
-    it must equal the digest recorded inside the oracle."""
-
-    grammar_path: str
-    grammar_sha256: str
-    system_digest: str
-    oracle_path: str
-    oracle_sha256: str
-    oracle_system_digest: str
-
-    def verify(self):
-        if self.system_digest != self.oracle_system_digest:
-            raise OracleMismatchError(
-                "oracle %s was solved for a different system "
-                "(grammar compiles to %s..., oracle records %s...); "
-                "re-run 'boltzxml solve' on the current grammar"
-                % (
-                    self.oracle_path,
-                    self.system_digest[:12],
-                    self.oracle_system_digest[:12],
-                )
+    When the document exhausts its budget or anything else fails, the
+    temporary file is removed and target is left as it was."""
+    partial = target.with_name(target.name + ".tmp")
+    try:
+        with open(partial, "wb") as sink:
+            stats = sampler.sample_to_sink(
+                config, sink, xml_declaration=xml_declaration
             )
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return stats
 
 
-def build_manifest(grammar_path, oracle_path, *, grammar=None, system=None, oracle=None):
-    if grammar is None:
-        with open(grammar_path, "rb") as fh:
-            data = fh.read()
-        grammar = parse_grammar(data, source=str(grammar_path))
-    if system is None:
-        system = compile_grammar(grammar)
-    if oracle is None:
-        oracle = load_oracle(oracle_path)
-    return PipelineManifest(
-        grammar_path=str(grammar_path),
-        grammar_sha256=_file_sha256(grammar_path),
-        system_digest=system.digest(),
-        oracle_path=str(oracle_path),
-        oracle_sha256=_file_sha256(oracle_path),
-        oracle_system_digest=oracle.system_digest,
+def _rejected_sizes(histogram):
+    """Summary of an exhausted document's rejected draws for --stats.
+
+    Sizes of -1 mark walks stopped once they passed the window's upper
+    bound; the min, low median and max cover the finished walks, null when
+    none finished."""
+    sizes = sorted(
+        size for size, count in histogram.items() if size >= 0 for _ in range(count)
     )
+    return {
+        "tooLarge": histogram.get(-1, 0),
+        "rejectedMin": sizes[0] if sizes else None,
+        "rejectedMedian": statistics.median_low(sizes) if sizes else None,
+        "rejectedMax": sizes[-1] if sizes else None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +100,9 @@ def cmd_compile(args):
 def cmd_solve(args):
     system = load_system(args.system)
     x = args.x if args.x == "auto" else float(args.x)
+    # the solver imports numpy on first use; "solved in" leaves that out
+    import numpy  # noqa: F401
+
     started = time.perf_counter()
     oracle = solve(system, x)
     elapsed = time.perf_counter() - started
@@ -145,10 +129,14 @@ def cmd_sample(args):
         grammar, grammar_digest=hashlib.sha256(data).hexdigest()
     )
     oracle = load_oracle(args.oracle)
-    manifest = build_manifest(
-        grammar_path, args.oracle, grammar=grammar, system=system, oracle=oracle
-    )
-    manifest.verify()
+    digest = system.digest()
+    if digest != oracle.system_digest:
+        raise OracleMismatchError(
+            "oracle %s was solved for a different system "
+            "(grammar compiles to %s..., oracle records %s...); "
+            "re-run 'boltzxml solve' on the current grammar"
+            % (args.oracle, digest[:12], oracle.system_digest[:12])
+        )
 
     overrides = load_value_table(args.datatype_plugin) if args.datatype_plugin else None
     sampler = Sampler(grammar, oracle, registry=overrides, system=system)
@@ -176,11 +164,10 @@ def cmd_sample(args):
             started = time.perf_counter()
             try:
                 if out_dir:
-                    target = out_dir / ("doc-%05d.xml" % index)
-                    with open(target, "wb") as sink:
-                        stats = sampler.sample_to_sink(
-                            config, sink, xml_declaration=args.xml_declaration
-                        )
+                    stats = _sample_to_file(
+                        sampler, config, out_dir / ("doc-%05d.xml" % index),
+                        args.xml_declaration,
+                    )
                 else:
                     stats = sampler.sample_to_sink(
                         config,
@@ -195,14 +182,23 @@ def cmd_sample(args):
                     "document %d: %s" % (index, exc),
                     file=sys.stderr,
                 )
-                continue
-            produced += 1
-            millis = (time.perf_counter() - started) * 1000.0
-            if stats_fh:
-                record = {
-                    "docIndex": index,
+                outcome = {
+                    "status": "exhausted",
+                    "attempts": exc.attempts,
+                    **_rejected_sizes(exc.histogram),
+                }
+            else:
+                produced += 1
+                outcome = {
+                    "status": "ok",
                     "attempts": stats.attempts,
                     "size": stats.size,
+                }
+            if stats_fh:
+                millis = (time.perf_counter() - started) * 1000.0
+                record = {
+                    "docIndex": index,
+                    **outcome,
                     "seed": seed,
                     "millis": round(millis, 3),
                 }

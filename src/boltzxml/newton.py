@@ -2,23 +2,41 @@
 
 newton_evaluate solves Y = Phi(x, Y) by Newton iteration from Y = 0,
 solving the dense linear system (I - J) d = Phi(Y) - Y each step with
-partial pivoting.  Below the dominant singularity the iteration converges
-quadratically to the combinatorial fixed point; past it the values run
-away, hit a singular matrix, or settle on a branch with negative
-components, each of which is classified as divergence.  That dichotomy
-drives the bisection in estimate_singularity.
+partial pivoting.  Below the dominant singularity rho the iteration
+converges quadratically to the combinatorial fixed point.  At or past rho
+it is classified as divergent, and that dichotomy drives the bisection in
+estimate_singularity.
+
+Divergence is certified by a falling step.  For a well-founded system with
+nonnegative coefficients and x < rho, Newton from Y = 0 rises
+monotonically to the fixed point (Pivoteau, Salvy & Soria, "Algorithms for
+combinatorial structures: well-founded systems and Newton iterations",
+JCTA 2012): every iterate keeps Phi(Y) >= Y and (I - J)^-1 >= 0, so every
+exact step d is >= 0 in every component.  A step with a clearly negative
+component therefore proves x >= rho, usually within a few iterations.
+"Clearly" is relative: d_i < -FALL_TOLERANCE * max(1, |Y_i|).  Rounding
+makes small negative corrections on large values; feed, whose generating
+function has a pole, reaches values near 4e7 just below it, where a
+correction of -0.157 appears, and an absolute threshold would misread that
+convergent point as divergent.  Past rho a run can also end with values
+above the ceiling, a singular Newton matrix, a fixed point with negative
+components, or no convergence within the iteration cap, the backstop for
+the runs in which no step falls.
+
+Phi and its Jacobian are evaluated with numpy over all monomials at once,
+in the same floating-point order as a per-monomial loop (see _NumSystem),
+so the values, and with them the bisection and every oracle, are those of
+the loop bit for bit.  numpy is imported on first use, so importing the
+package, or sampling from a saved oracle, does not load it.
 
 Defaults: tolerance 1e-12 on both the update and the residual, value
-ceiling 1e8, iteration cap 500, bisection bracket width 1e-8, automatic
-evaluation point rho_lower * (1 - 1e-7).
+ceiling 1e8, iteration cap 500, falling-step tolerance 1e-6, bisection
+bracket width 1e-8, automatic evaluation point rho_lower * (1 - 1e-7).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DivergedError,
@@ -31,6 +49,7 @@ __all__ = [
     "TOLERANCE",
     "VALUE_CEILING",
     "ITERATION_CAP",
+    "FALL_TOLERANCE",
     "BRACKET_WIDTH",
     "AUTO_BACKOFF",
     "NewtonResult",
@@ -46,6 +65,7 @@ __all__ = [
 TOLERANCE = 1e-12
 VALUE_CEILING = 1e8
 ITERATION_CAP = 500
+FALL_TOLERANCE = 1e-6
 BRACKET_WIDTH = 1e-8
 AUTO_BACKOFF = 1e-7
 
@@ -53,54 +73,109 @@ _ORACLE_HEADER = "boltzxml-oracle 1"
 
 
 class _NumSystem:
-    """Index-based float view of a GfSystem for fast Phi and Jacobian."""
+    """Index-based float view of a GfSystem for fast Phi and Jacobian.
+
+    Every monomial c * x**xe * prod(Y[j]**e) becomes a row of K factor
+    slots, K being the largest number of factors in any monomial.  A slot
+    indexes a table of the powers Y[j]**e over the distinct (class,
+    exponent) pairs, built once per Y and shared by Phi and J; unused
+    slots index a trailing 1.0.  Each Jacobian term d/dY[j] of a monomial
+    is a row of its own: the power Y[j]**(e-1) first, then the other
+    factors in their order.
+
+    The arithmetic is that of a per-monomial loop, operation for operation:
+    products run over the slot columns left to right, the powers come from
+    Python's ** operator, which rounds as the ** of float64 scalars does
+    (np.power rounds differently in a few percent of cases), and
+    np.bincount adds the terms of each equation in monomial order,
+    starting from 0.0.  tests/test_newton.py keeps the loop as the
+    reference and requires equal results."""
 
     def __init__(self, system):
+        import numpy as np
+
         self.names = list(system.classes)
-        index = {name: i for i, name in enumerate(self.names)}
-        self.eqs = []
-        for name in self.names:
-            mons = []
-            for mon in system.equations[name]:
-                powers = tuple((index[c], e) for c, e in mon.powers)
-                mons.append((float(mon.coeff), mon.xexp, powers))
-            self.eqs.append(mons)
         self.m = len(self.names)
+        index = {name: i for i, name in enumerate(self.names)}
+        slots = {}  # (class index, exponent) -> slot in the power table
+        coeffs, xexps, eqs, phi_rows = [], [], [], []
+        jac_mons, jac_scales, jac_cells, jac_rows = [], [], [], []
+        for i, name in enumerate(self.names):
+            for mon in system.equations[name]:
+                factors = [(index[c], e) for c, e in mon.powers]
+                row = [slots.setdefault(f, len(slots)) for f in factors]
+                for k, (j, e) in enumerate(factors):
+                    jac_mons.append(len(coeffs))
+                    jac_scales.append(float(e))
+                    jac_cells.append(i * self.m + j)
+                    jac_rows.append(
+                        [slots.setdefault((j, e - 1), len(slots))]
+                        + row[:k] + row[k + 1:]
+                    )
+                coeffs.append(float(mon.coeff))
+                xexps.append(mon.xexp)
+                eqs.append(i)
+                phi_rows.append(row)
+        self._pairs = list(slots)
+        self._coeffs = coeffs
+        self._xexps = xexps
+        self._eqs = np.array(eqs, dtype=np.intp)
+        self._jac_mons = np.array(jac_mons, dtype=np.intp)
+        self._jac_scales = np.array(jac_scales)
+        self._jac_cells = np.array(jac_cells, dtype=np.intp)
+        width = max(map(len, phi_rows), default=0)
+        self._phi_cols = self._columns(phi_rows, width)
+        self._jac_cols = self._columns(jac_rows, width)
+
+    def _columns(self, rows, width):
+        """Slot rows padded with the 1.0 slot, as a (width, len(rows)) array."""
+        import numpy as np
+
+        one = len(self._pairs)
+        flat = [row[k] if k < len(row) else one for k in range(width) for row in rows]
+        return np.array(flat, dtype=np.intp).reshape(width, len(rows))
 
     def bind(self, x):
-        """Pre-multiply each monomial coefficient by x**xexp."""
-        bound = []
-        for mons in self.eqs:
-            bound.append(
-                [(c * x**xe, powers) for c, xe, powers in mons]
-            )
-        return bound
+        """Monomial coefficients times x**xexp, and their Jacobian multiples."""
+        import numpy as np
 
-    @staticmethod
-    def phi(bound, Y):
-        out = np.zeros(len(bound))
-        for i, mons in enumerate(bound):
-            total = 0.0
-            for cx, powers in mons:
-                term = cx
-                for j, e in powers:
-                    term *= Y[j] ** e
-                total += term
-            out[i] = total
-        return out
+        cx = np.array([c * x**xe for c, xe in zip(self._coeffs, self._xexps)])
+        return cx, cx[self._jac_mons] * self._jac_scales
 
-    @staticmethod
-    def jacobian(bound, Y):
-        m = len(bound)
-        J = np.zeros((m, m))
-        for i, mons in enumerate(bound):
-            for cx, powers in mons:
-                for k, (j, e) in enumerate(powers):
-                    term = cx * e * Y[j] ** (e - 1)
-                    for jj, ee in powers[:k] + powers[k + 1:]:
-                        term *= Y[jj] ** ee
-                    J[i, j] += term
-        return J
+    def powers(self, Y):
+        """Table of Y[j]**e for the distinct (class, exponent) pairs, then 1.0."""
+        import numpy as np
+
+        ys = Y.tolist()
+        try:
+            table = [ys[j] ** e for j, e in self._pairs]
+        except OverflowError:
+            # Python floats raise where float64 scalars give inf
+            ys = list(Y)
+            table = [ys[j] ** e for j, e in self._pairs]
+        table.append(1.0)
+        return np.array(table)
+
+    def phi(self, bound, Y, table=None):
+        import numpy as np
+
+        if table is None:
+            table = self.powers(Y)
+        terms = bound[0]
+        for col in self._phi_cols:
+            terms = terms * table[col]
+        return np.bincount(self._eqs, weights=terms, minlength=self.m)
+
+    def jacobian(self, bound, Y, table=None):
+        import numpy as np
+
+        if table is None:
+            table = self.powers(Y)
+        terms = bound[1]
+        for col in self._jac_cols:
+            terms = terms * table[col]
+        J = np.bincount(self._jac_cells, weights=terms, minlength=self.m * self.m)
+        return J.reshape(self.m, self.m)
 
 
 @dataclass
@@ -125,23 +200,31 @@ def newton_evaluate(
     iteration_cap=ITERATION_CAP,
 ):
     """Evaluate all class generating functions at x, or raise DivergedError."""
+    import numpy as np
+
     num = _as_num(system)
     bound = num.bind(x)
     m = num.m
     Y = np.zeros(m)
     eye = np.eye(m)
     for it in range(1, iteration_cap + 1):
-        F = num.phi(bound, Y)
-        if not np.all(np.isfinite(F)) or np.any(F > ceiling):
+        table = num.powers(Y)
+        F = num.phi(bound, Y, table)
+        if not np.isfinite(F).all() or (F > ceiling).any():
             raise DivergedError(x, "values exceeded the ceiling %g" % ceiling)
-        J = num.jacobian(bound, Y)
+        J = num.jacobian(bound, Y, table)
         try:
             delta = np.linalg.solve(eye - J, F - Y)
         except np.linalg.LinAlgError:
             raise DivergedError(x, "singular Newton matrix") from None
         Y = Y + delta
-        if not np.all(np.isfinite(Y)) or np.any(np.abs(Y) > ceiling):
+        if not np.isfinite(Y).all() or (np.abs(Y) > ceiling).any():
             raise DivergedError(x, "values exceeded the ceiling %g" % ceiling)
+        if (delta < -FALL_TOLERANCE * np.maximum(1.0, np.abs(Y))).any():
+            raise DivergedError(
+                x, "Newton step fell at iteration %d, so x is at or past "
+                "the singularity" % it
+            )
         if np.max(np.abs(delta)) < tolerance:
             residual = float(np.max(np.abs(num.phi(bound, Y) - Y)))
             if residual >= tolerance:
@@ -371,11 +454,3 @@ def verify_oracle(oracle, system):
             "oracle lacks values for class(es): %s" % ", ".join(sorted(missing))
         )
 
-
-def file_digest(path):
-    """sha256 of a file's bytes, for manifest chaining."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -479,7 +479,8 @@ def test_08_cli_determinism(tmp_path, capsys):
             lines = (root / "stats.ndjson").read_text().splitlines()
             records = [json.loads(line) for line in lines]
             assert all(
-                set(r) == {"docIndex", "attempts", "size", "seed", "millis"}
+                set(r) == {"docIndex", "status", "attempts", "size", "seed", "millis"}
+                and r["status"] == "ok"
                 for r in records
             )
             # wall-clock milliseconds legitimately differ between runs

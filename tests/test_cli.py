@@ -1,9 +1,14 @@
 """The boltzxml command line: pipeline wiring, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import boltzxml
 from boltzxml import (
     Sampler,
     SamplerConfig,
@@ -20,6 +25,9 @@ from boltzxml.cli import (
     EXIT_SOLVER,
     main,
 )
+
+# directory holding the package under test, for subprocess runs
+SRC = Path(boltzxml.__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +102,10 @@ def test_sample_to_directory_with_stats(workdir, tmp_path, capsys):
     records = [json.loads(line) for line in stats_path.read_text().splitlines()]
     assert len(records) == 3
     for index, record in enumerate(records):
-        assert set(record) == {"docIndex", "attempts", "size", "seed", "millis"}
+        assert set(record) == {
+            "docIndex", "status", "attempts", "size", "seed", "millis"
+        }
+        assert record["status"] == "ok"
         assert record["docIndex"] == index
         assert record["seed"] == 7 + index
         assert 20 <= record["size"] <= 30
@@ -198,15 +209,59 @@ def test_bad_plugin_file(workdir, tmp_path, capsys):
     assert "value table" in capsys.readouterr().err
 
 
-def test_all_documents_exhausted(workdir, capsys):
+def test_all_documents_exhausted(workdir, tmp_path, capsys):
     # no ternary document has size 2
+    docs = tmp_path / "docs"
+    stats_path = tmp_path / "stats.ndjson"
     code = main([
         "sample", str(workdir / "ternary.rng"), str(workdir / "ternary.oracle"),
         "-n", "2", "-e", "0", "--max-attempts", "30", "--count", "2",
+        "--out", str(docs), "--stats", str(stats_path),
     ])
     assert code == EXIT_EXHAUSTED
     err = capsys.readouterr().err
     assert "document 0" in err and "document 1" in err
+    # neither a document nor its temporary file survives
+    assert list(docs.iterdir()) == []
+    records = [json.loads(line) for line in stats_path.read_text().splitlines()]
+    assert [r["docIndex"] for r in records] == [0, 1]
+    for record in records:
+        assert record["status"] == "exhausted"
+        assert record["attempts"] == 30
+        assert record["tooLarge"] <= 30
+        # ternary sizes are 1, 4, 7, ...: the finished walks missed size 2
+        if record["tooLarge"] < 30:
+            low, mid, high = (
+                record["rejectedMin"], record["rejectedMedian"], record["rejectedMax"]
+            )
+            assert 1 <= low <= mid <= high and 2 not in (low, high)
+
+
+def test_failed_write_leaves_no_file(workdir, tmp_path, monkeypatch, capsys):
+    def broken(self, config, sink, **kwargs):
+        sink.write(b"<t>")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Sampler, "sample_to_sink", broken)
+    docs = tmp_path / "docs"
+    code = main([
+        "sample", str(workdir / "ternary.rng"), str(workdir / "ternary.oracle"),
+        "-n", "13", "-e", "0.5", "--out", str(docs),
+    ])
+    assert code == EXIT_INPUT
+    assert "disk full" in capsys.readouterr().err
+    assert list(docs.iterdir()) == []
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the solver needs numpy; sampling from a saved oracle must not pay for it
+    probe = "import sys, boltzxml.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_partial_success(workdir, capsys):

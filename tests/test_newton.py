@@ -7,7 +7,11 @@ discriminant gives the real root of 8x^3+4x^2-1, and the feed sequence
 hits its pole where x(1+x) = 1, i.e. the reciprocal golden ratio."""
 
 import math
+import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boltzxml import (
@@ -20,18 +24,24 @@ from boltzxml import (
     compile_grammar,
     estimate_singularity,
     load_oracle,
+    load_system,
     newton_evaluate,
     parse_grammar,
+    parse_grammar_file,
     save_oracle,
     solve,
     verify_oracle,
 )
+from boltzxml.newton import _NumSystem
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 
 TERNARY_RHO = 2 ** (-1.0 / 3.0) / 1.5
 ONEORMORE_RHO = (3.0 - math.sqrt(5.0)) / 2.0
 FEED_RHO = (math.sqrt(5.0) - 1.0) / 2.0
+
+# perfbench/schema.generate_schema(4, 16, 8): 29 classes, up to 4 factors a monomial
+SCHEMA = Path(__file__).parent / "data" / "schema-4-16-8.rng"
 
 
 def attrs_rho():
@@ -82,6 +92,84 @@ def test_quadratic_convergence_iteration_count(systems):
 def test_diverges_past_singularity(systems):
     with pytest.raises(DivergedError):
         newton_evaluate(systems["ternary"], 0.56)
+
+
+@pytest.mark.parametrize("name,x", [("binary", 0.75), ("ternary", 0.56)])
+def test_divergence_is_certified_by_an_early_falling_step(systems, name, x):
+    # below the singularity every Newton step from 0 is >= 0, so a falling
+    # step proves divergence long before the iteration cap
+    with pytest.raises(DivergedError) as info:
+        newton_evaluate(systems[name], x)
+    match = re.fullmatch(
+        r"Newton step fell at iteration (\d+), so x is at or past the singularity",
+        info.value.reason,
+    )
+    assert match, info.value.reason
+    assert int(match.group(1)) <= 10
+
+
+def _loop_monomials(system, x):
+    index = {name: i for i, name in enumerate(system.classes)}
+    return [
+        [
+            (float(mon.coeff) * x**mon.xexp, [(index[c], e) for c, e in mon.powers])
+            for mon in system.equations[name]
+        ]
+        for name in system.classes
+    ]
+
+
+def _loop_phi(system, x, Y):
+    """Per-monomial reference for Phi, in the order the vectorized kernel keeps."""
+    out = []
+    for mons in _loop_monomials(system, x):
+        total = 0.0
+        for cx, powers in mons:
+            term = cx
+            for j, e in powers:
+                term *= Y[j] ** e
+            total += term
+        out.append(total)
+    return out
+
+
+def _loop_jacobian(system, x, Y):
+    m = len(system.classes)
+    J = [[0.0] * m for _ in range(m)]
+    for i, mons in enumerate(_loop_monomials(system, x)):
+        for cx, powers in mons:
+            for k, (j, e) in enumerate(powers):
+                term = cx * e * Y[j] ** (e - 1)
+                for jj, ee in powers[:k] + powers[k + 1:]:
+                    term *= Y[jj] ** ee
+                J[i][j] += term
+    return J
+
+
+def test_vectorized_phi_and_jacobian_equal_the_loops(systems):
+    rng = random.Random(7)
+    schema = compile_grammar(parse_grammar_file(SCHEMA))
+    for name, system in {**systems, "schema": schema}.items():
+        num = _NumSystem(system)
+        for _ in range(50):
+            x = rng.uniform(0.0, 1.0)
+            Y = np.array([rng.uniform(-3.0, 3.0) for _ in range(num.m)])
+            bound = num.bind(x)
+            assert num.phi(bound, Y).tolist() == _loop_phi(system, x, Y), name
+            assert num.jacobian(bound, Y).tolist() == _loop_jacobian(system, x, Y), name
+
+
+def test_overflowing_powers_give_inf_like_the_loops(tmp_path):
+    # Python floats raise OverflowError on 1e10 ** 40; float64 gives inf
+    path = tmp_path / "steep.gfs"
+    path.write_text("boltzxml-system 1\nclasses 1\nstart t\neq t = 1 1 + 1 1 t:40\n")
+    system = load_system(path)
+    num = _NumSystem(system)
+    Y = np.array([1e10])
+    bound = num.bind(0.5)
+    with np.errstate(over="ignore"):
+        assert num.phi(bound, Y).tolist() == _loop_phi(system, 0.5, Y) == [math.inf]
+        assert num.jacobian(bound, Y).tolist() == _loop_jacobian(system, 0.5, Y)
 
 
 def test_feed_rejects_negative_branch(systems):
