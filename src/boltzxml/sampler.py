@@ -10,10 +10,19 @@ every document of that size is equally likely.
 
 Size control is rejection in a window [n(1-eps), n(1+eps)]: a cheap
 counting pass draws only structure and aborts early past the upper bound;
-on acceptance the structure generator is rewound to the recorded state and
-replayed, this time materializing events and leaf values.  Values come
-from a second random stream so the counting pass stays aligned with the
-replay.
+on acceptance the structure stream is rewound to a checkpoint and the
+accepted attempt is replayed by one of two walks that make the same draws:
+
+- _walk_write writes the document's UTF-8 bytes to a sink while it is
+  generated, with no event objects in between.  sample_to_sink uses it
+  when no attribute can follow content inside an element, so every start
+  tag is complete before its element's first child.
+- _walk_buffered builds the StartElement / TextContent / EndElement list.
+  It serves sample_in_window and free_sample, and sample_to_sink (through
+  serialize_stream) for grammars with late attributes.
+
+Values come from a second random stream so the counting pass stays
+aligned with the replay.
 """
 
 from __future__ import annotations
@@ -32,7 +41,15 @@ from .errors import (
     SamplingError,
 )
 from .newton import verify_oracle
-from .serialize import EndElement, StartElement, TextContent, serialize_stream
+from .serialize import (
+    XML_DECLARATION,
+    EndElement,
+    StartElement,
+    TextContent,
+    _esc_attr,
+    _esc_text,
+    serialize_stream,
+)
 from .system import compile_grammar
 
 __all__ = [
@@ -118,6 +135,17 @@ def _rev(ops):
     return tuple(reversed(ops))
 
 
+def _choice_cdf(live):
+    """Cumulative branch probabilities of (weight, branch) pairs."""
+    total = sum(w for w, _ in live)
+    acc, cps = 0.0, []
+    for w, _ in live:
+        acc += w
+        cps.append(acc / total)
+    cps[-1] = 1.0
+    return tuple(cps)
+
+
 class Sampler:
     """Prepared sampler for one grammar and its oracle."""
 
@@ -169,15 +197,21 @@ class Sampler:
     # -- plan construction ------------------------------------------------
 
     def _build_plan(self):
+        """Counting ops (_ELEM, name, children) and event ops
+        (_ELEM, head, children, end, name, ns) per definition; head is the
+        encoded '<name' with any xmlns, end the shared (_END, b'</name>')."""
         self._count_elem = {}
         self._event_elem = {}
         g = self.grammar
         for name, body in g.defines.items():
-            has_attrs = any(
-                isinstance(n, ast.Attribute) for n in ast.iter_nodes(body.content)
-            )
+            head = "<" + body.name
+            if body.ns:
+                head += ' xmlns="%s"' % _esc_attr(body.ns)
+            end = (_END, ("</%s>" % body.name).encode())
             self._count_elem[name] = (_ELEM, body.name, [])
-            self._event_elem[name] = (_ELEM, body.name, [], has_attrs, body.ns)
+            self._event_elem[name] = (
+                _ELEM, head.encode(), [], end, body.name, body.ns
+            )
         for name, body in g.defines.items():
             c_ops, e_ops = self._compile_pair(body.content)
             self._count_elem[name][2].extend(_rev(c_ops))
@@ -223,6 +257,12 @@ class Sampler:
         else:
             out.append((self.weight(p), p))
 
+    def _live_branches(self, p):
+        """(weight, branch) pairs of a choice with positive weight."""
+        branches = []
+        self._flatten_choice(p, branches)
+        return [(w, b) for w, b in branches if w > 0.0]
+
     def _compile_pair(self, p):
         """Compile a pattern into (counting ops, event ops), execution order."""
         if isinstance(p, ast.Empty):
@@ -236,7 +276,7 @@ class Sampler:
             self.used_types.add(p.type)
             return (), ((_TEXT, p.type),)
         if isinstance(p, ast.Value):
-            return (), ((_LIT, p.literal),)
+            return (), ((_LIT, p.literal, _esc_text(p.literal).encode()),)
         if isinstance(p, ast.Attribute):
             vplan = self._compile_value(p.content)
             return ((_ATTR,),), ((_ATTR, p.name, vplan),)
@@ -254,20 +294,12 @@ class Sampler:
             logp = math.log(ratio)
             return ((_SEQ, logp, _rev(cc)),), ((_SEQ, logp, _rev(ce)),)
         if isinstance(p, ast.Choice):
-            branches = []
-            self._flatten_choice(p, branches)
-            live = [(w, b) for w, b in branches if w > 0.0]
+            live = self._live_branches(p)
             if not live:
                 return ((_DEAD,),), ((_DEAD,),)
             if len(live) == 1:
                 return self._compile_pair(live[0][1])
-            total = sum(w for w, _ in live)
-            acc, cps = 0.0, []
-            for w, _ in live:
-                acc += w
-                cps.append(acc / total)
-            cps[-1] = 1.0
-            cps = tuple(cps)
+            cps = _choice_cdf(live)
             pairs = [self._compile_pair(b) for _, b in live]
             c_branches = tuple(_rev(c) for c, _ in pairs)
             e_branches = tuple(_rev(e) for _, e in pairs)
@@ -288,20 +320,12 @@ class Sampler:
         if isinstance(p, ast.Group):
             return ("cat", self._compile_value(p.left), self._compile_value(p.right))
         if isinstance(p, ast.Choice):
-            branches = []
-            self._flatten_choice(p, branches)
-            live = [(w, b) for w, b in branches if w > 0.0]
+            live = self._live_branches(p)
             if not live:
                 return ("dead",)
             if len(live) == 1:
                 return self._compile_value(live[0][1])
-            total = sum(w for w, _ in live)
-            acc, cps = 0.0, []
-            for w, _ in live:
-                acc += w
-                cps.append(acc / total)
-            cps[-1] = 1.0
-            return ("alt", tuple(cps), tuple(self._compile_value(b) for _, b in live))
+            return ("alt", _choice_cdf(live), tuple(self._compile_value(b) for _, b in live))
         raise SamplingError(
             "unsupported pattern inside attribute: %s" % type(p).__name__
         )
@@ -365,66 +389,28 @@ class Sampler:
         Returns (attempt, size) with the structure stream rewound to the
         accepted attempt's first draw, ready for the replay pass; raises
         ExhaustedError when the budget runs out.  The stream is
-        checkpointed every few attempts rather than before each one, so
-        an acceptance rewinds to the last checkpoint and re-runs the
-        short aborted walks in between.  The walk body mirrors
-        _count_walk; the inline copy keeps the per-attempt cost free of
-        call overhead, which dominates at small window sizes."""
+        checkpointed every few attempts and after every walk aborted past
+        the upper bound, rather than before each attempt, so an acceptance
+        rewinds to the last checkpoint and re-runs only the short walks
+        that finished below the window since then."""
         note = sizes.append
-        rnd = rng_s.random
-        log = math.log
-        start = self._count_start
+        walk = self._count_walk
         getstate = rng_s.getstate
         span = self._CHECKPOINT_EVERY
         state = getstate()
         anchor = 1
+        size = 0
         for attempt in range(1, max_attempts + 1):
-            if attempt - anchor == span:
+            if size < 0 or attempt - anchor == span:
+                state = None  # a state is 24 KB; drop the old one first
                 state = getstate()
                 anchor = attempt
-            stack = list(start)
-            size = 0
-            while stack:
-                op = stack.pop()
-                k = op[0]
-                if k == _ELEM:
-                    size += 1
-                    if size > upper:
-                        size = -1
-                        break
-                    if op[2]:
-                        stack.extend(op[2])
-                elif k == _CHOICE:
-                    u = rnd()
-                    cps = op[1]
-                    i = 0
-                    while u >= cps[i]:
-                        i += 1
-                    branch = op[2][i]
-                    if branch:
-                        stack.extend(branch)
-                elif k == _SEQ:
-                    reps = 1 + int(log(1.0 - rnd()) / op[1])
-                    if size + reps > upper:
-                        size = -1
-                        break
-                    child = op[2]
-                    for _ in range(reps):
-                        stack.extend(child)
-                elif k == _ATTR:
-                    size += 1
-                    if size > upper:
-                        size = -1
-                        break
-                else:
-                    raise SamplingError(
-                        "dead branch executed; plan is inconsistent"
-                    )
+            size = walk(rng_s, upper)
             note(size)
             if lower <= size:
                 rng_s.setstate(state)
                 for _ in range(anchor, attempt):
-                    self._count_walk(rng_s, upper)
+                    walk(rng_s, upper)
                 return attempt, size
         raise ExhaustedError(max_attempts, Counter(sizes))
 
@@ -447,31 +433,24 @@ class Sampler:
             return self._sample_value(plan[2][i], rng, registry)
         raise SamplingError("dead value branch executed")
 
-    def _walk_stream(self, rng_s, rng_v, ceiling, registry):
-        """Yield events during generation; needs no late attributes."""
+    def _walk_write(self, rng_s, rng_v, ceiling, registry, sink):
+        """Generate a document straight to a binary sink; needs no late
+        attributes.  Returns the number of bytes written.
+
+        tag is the element op whose start tag still lacks its '>', names
+        the attribute names written into that tag.  The bytes equal
+        serialize_stream's over _walk_buffered's events: '>' before an
+        element's first child or text, '/>' when it has neither.  sink.write
+        is looked up at every write because a sink may rebind it."""
         stack = list(self._event_start)
-        pending = []  # [name, attrs, ns] start tags not yet emitted
-        size = 0
+        tag = names = None
+        size = written = 0
         rnd = rng_s.random
         log = math.log
         while stack:
             op = stack.pop()
             k = op[0]
-            if k == _ELEM:
-                size += 1
-                if size > ceiling:
-                    raise CeilingExceededError(ceiling)
-                if op[3]:
-                    pending.append([op[1], [], op[4]])
-                else:
-                    for p in pending:
-                        yield StartElement(p[0], tuple(p[1]), p[2])
-                    pending.clear()
-                    yield StartElement(op[1], (), op[4])
-                stack.append((_END, op[1]))
-                if op[2]:
-                    stack.extend(op[2])
-            elif k == _CHOICE:
+            if k == _CHOICE:
                 u = rnd()
                 cps = op[1]
                 i = 0
@@ -480,37 +459,55 @@ class Sampler:
                 branch = op[2][i]
                 if branch:
                     stack.extend(branch)
-            elif k == _SEQ:
+                continue
+            if k == _SEQ:
                 reps = 1 + int(log(1.0 - rnd()) / op[1])
                 if size + reps > ceiling:
                     raise CeilingExceededError(ceiling)
                 child = op[2]
                 for _ in range(reps):
                     stack.extend(child)
+                continue
+            if k == _ELEM:
+                size += 1
+                if size > ceiling:
+                    raise CeilingExceededError(ceiling)
+                data = op[1] if tag is None else b">" + op[1]
+                tag, names = op, None
+                stack.append(op[3])
+                if op[2]:
+                    stack.extend(op[2])
             elif k == _END:
-                for p in pending:
-                    yield StartElement(p[0], tuple(p[1]), p[2])
-                pending.clear()
-                yield EndElement(op[1])
+                data = op[1] if tag is None else b"/>"
+                tag = None
             elif k == _ATTR:
                 size += 1
                 if size > ceiling:
                     raise CeilingExceededError(ceiling)
-                pending[-1][1].append(
-                    (op[1], self._sample_value(op[2], rng_v, registry))
-                )
-            elif k == _TEXT:
-                for p in pending:
-                    yield StartElement(p[0], tuple(p[1]), p[2])
-                pending.clear()
-                yield TextContent(registry[op[1]](rng_v))
-            elif k == _LIT:
-                for p in pending:
-                    yield StartElement(p[0], tuple(p[1]), p[2])
-                pending.clear()
-                yield TextContent(op[1])
+                name = op[1]
+                if names is None:
+                    names = [name]
+                elif name in names:
+                    raise SamplingError(
+                        "duplicate attribute %r on element %r" % (name, tag[4])
+                    )
+                else:
+                    names.append(name)
+                value = _esc_attr(self._sample_value(op[2], rng_v, registry))
+                data = (' %s="%s"' % (name, value)).encode()
+            elif k == _TEXT or k == _LIT:
+                if k == _LIT:
+                    data = op[2]
+                else:
+                    data = _esc_text(registry[op[1]](rng_v)).encode()
+                if tag is not None:
+                    data = b">" + data
+                    tag = None
             else:
                 raise SamplingError("dead branch executed; plan is inconsistent")
+            sink.write(data)
+            written += len(data)
+        return written
 
     def _walk_buffered(self, rng_s, rng_v, ceiling, registry):
         """Full-document generation allowing attributes after content."""
@@ -527,9 +524,9 @@ class Sampler:
                 size += 1
                 if size > ceiling:
                     raise CeilingExceededError(ceiling)
-                open_stack.append((len(out), op[1], [], op[4]))
+                open_stack.append((len(out), op[4], [], op[5]))
                 out.append(None)
-                stack.append((_END, op[1]))
+                stack.append(op[3])
                 if op[2]:
                     stack.extend(op[2])
             elif k == _CHOICE:
@@ -567,12 +564,6 @@ class Sampler:
                 raise SamplingError("dead branch executed; plan is inconsistent")
         return out, size
 
-    def _replay(self, rng_s, rng_v, ceiling, registry):
-        if self.buffered:
-            events, _ = self._walk_buffered(rng_s, rng_v, ceiling, registry)
-            return events
-        return list(self._walk_stream(rng_s, rng_v, ceiling, registry))
-
     # -- public sampling --------------------------------------------------
 
     def free_sample(self, rng=None, *, ceiling=DEFAULT_FREE_CEILING, registry=None):
@@ -584,14 +575,7 @@ class Sampler:
             rng = random.Random()
         elif isinstance(rng, int):
             rng = random.Random(rng)
-        reg = self.registry_for(registry)
-        if self.buffered:
-            return self._walk_buffered(rng, rng, ceiling, reg)
-        events = list(self._walk_stream(rng, rng, ceiling, reg))
-        size = sum(
-            1 + len(e.attributes) for e in events if isinstance(e, StartElement)
-        )
-        return events, size
+        return self._walk_buffered(rng, rng, ceiling, self.registry_for(registry))
 
     def free_size(self, rng, *, ceiling=DEFAULT_FREE_CEILING):
         """Size of one unconstrained draw, -1 if it passed the ceiling."""
@@ -618,14 +602,14 @@ class Sampler:
         attempt, size = self._accept_attempt(
             rng_s, window.lower, window.upper, config.max_attempts, sizes
         )
-        events = self._replay(rng_s, rng_v, window.upper, registry)
+        events, _ = self._walk_buffered(rng_s, rng_v, window.upper, registry)
         return WindowSample(events, size, attempt, sizes)
 
     def sample_to_sink(self, config, sink, *, xml_declaration=False):
-        """Like sample_in_window but serializing straight to a binary sink.
+        """Like sample_in_window but writing UTF-8 bytes to a binary sink.
 
-        For grammars without late attributes the document streams out
-        while it is generated; otherwise it is buffered first."""
+        For grammars without late attributes the bytes go out while the
+        document is generated; otherwise its events are buffered first."""
         registry = self.registry_for(config.registry)
         window = config.window
         upper = window.upper
@@ -636,9 +620,13 @@ class Sampler:
         )
         if self.buffered:
             events, _ = self._walk_buffered(rng_s, rng_v, upper, registry)
+            written = serialize_stream(events, sink, xml_declaration=xml_declaration)
         else:
-            events = self._walk_stream(rng_s, rng_v, upper, registry)
-        written = serialize_stream(events, sink, xml_declaration=xml_declaration)
+            written = 0
+            if xml_declaration:
+                sink.write(XML_DECLARATION)
+                written = len(XML_DECLARATION)
+            written += self._walk_write(rng_s, rng_v, upper, registry, sink)
         return StreamStats(size, attempt, written, sizes)
 
 

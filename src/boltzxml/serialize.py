@@ -3,8 +3,12 @@
 Documents are streams of StartElement / TextContent / EndElement events.
 serialize_stream writes a stream to a binary sink as it arrives: its state
 is one pending start tag and a depth counter, so memory use is independent
-of document size and the first bytes reach the sink while generation is
-still running.
+of document size.  It serves event lists: sample_in_window and free_sample
+results, enumerated documents, and sample_to_sink for grammars whose
+attributes can follow content.  sample_to_sink on all other grammars
+writes bytes straight from the generating walk, with the same escaping
+helpers (_esc_text, _esc_attr) and the same rules, so both routes give the
+same bytes for the same document.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ class DocNode:
     children: tuple = ()  # DocNode and str members
 
 
+XML_DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
+
+
 def _esc_text(s):
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -68,7 +75,8 @@ def serialize_stream(events, sink, *, xml_declaration=False):
     """Write an event stream to a binary sink; return the byte count.
 
     Raises SamplingError on malformed streams: mismatched end tags,
-    text outside the root, or duplicate attribute names in one start tag.
+    text outside the root, or a repeated attribute name in one start tag
+    (the first repetition in attribute order is reported).
     """
     written = 0
 
@@ -79,7 +87,8 @@ def serialize_stream(events, sink, *, xml_declaration=False):
         written += len(data)
 
     if xml_declaration:
-        out('<?xml version="1.0" encoding="UTF-8"?>\n')
+        sink.write(XML_DECLARATION)
+        written += len(XML_DECLARATION)
 
     open_name = None  # start tag emitted but not yet closed with > or />
     depth = 0
@@ -92,12 +101,13 @@ def serialize_stream(events, sink, *, xml_declaration=False):
             if open_name is not None:
                 out(">")
                 open_name = None
-            names = [n for n, _ in event.attributes]
-            if len(set(names)) != len(names):
-                dup = sorted(n for n in names if names.count(n) > 1)[0]
-                raise SamplingError(
-                    "duplicate attribute %r on element %r" % (dup, event.name)
-                )
+            seen = set()
+            for name, _ in event.attributes:
+                if name in seen:
+                    raise SamplingError(
+                        "duplicate attribute %r on element %r" % (name, event.name)
+                    )
+                seen.add(name)
             parts = ["<", event.name]
             if event.ns:
                 parts.append(' xmlns="%s"' % _esc_attr(event.ns))

@@ -33,7 +33,6 @@ from boltzxml.bundled import bundled_grammar_path
 from boltzxml.cli import EXIT_OK, main
 from boltzxml.newton import _NumSystem
 from boltzxml.sampler import Sampler, SamplerConfig, SizeWindow
-from boltzxml.serialize import serialize_stream
 from boltzxml.validate import matches
 
 from conftest import FEED_X
@@ -355,7 +354,7 @@ STREAM_WINDOW = SizeWindow(1_000_000, 0.2)
 STREAM_SEED = 11  # accepts at attempt 394 with 1,097,515 elements
 SMALL_WINDOW = SizeWindow(10_000, 0.2)
 SMALL_SEED = 3
-SERIALIZER_BUDGET = 64 * 1024  # bytes of extra peak beyond the bare walk
+SERIALIZER_BUDGET = 64 * 1024  # bytes of extra peak beyond the counting walk
 
 
 def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
@@ -376,28 +375,35 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
             state_s = rng_s.getstate()
             state_v = rng_v.getstate()
 
-            def replay():
+            def rewind():
                 rng_s.setstate(state_s)
                 rng_v.setstate(state_v)
-                return sampler._walk_stream(rng_s, rng_v, window.upper, registry)
+
+            def write(sink):
+                # the walk sample_to_sink runs for this streaming grammar
+                rewind()
+                return sampler._walk_write(
+                    rng_s, rng_v, window.upper, registry, sink
+                )
 
             # generation pass timed without instrumentation overhead
             sink = _CountingSink()
             t0 = time.perf_counter()
-            serialize_stream(replay(), sink)
+            write(sink)
             t_total = time.perf_counter() - t0
             first_frac = (sink.first_write - t0) / t_total
 
-            # the bare walk's footprint (its stack scales with tree depth)
+            # the counting walk's footprint for the same attempt (its stack
+            # scales with tree depth)
+            rewind()
             tracemalloc.start()
-            for _ in replay():
-                pass
+            assert sampler._count_walk(rng_s, window.upper) == size
             _, peak_walk = tracemalloc.get_traced_memory()
             tracemalloc.stop()
 
-            # the same walk through the serializer
+            # the writer walk: the same stack plus end tags and output state
             tracemalloc.start()
-            serialize_stream(replay(), _CountingSink())
+            write(_CountingSink())
             _, peak_all = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return size, sink.n, first_frac, peak_all - peak_walk, peak_all
@@ -416,8 +422,8 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
         out["ok"] = ok_size and ok_first and ok_buffer
         out["detail"] = (
             "%d elements to %.1f MB, first byte at %.4f%% of generation, "
-            "serializer adds %d B peak (%d B on a 100x smaller doc) "
-            "against a %.1f KB total walk peak"
+            "writing adds %d B peak over the counting walk (%d B on a 100x "
+            "smaller doc) against a %.1f KB total writer-walk peak"
             % (
                 size,
                 nbytes / 1e6,

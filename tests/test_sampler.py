@@ -1,5 +1,5 @@
-"""Boltzmann sampling: tuning laws, window rejection, determinism, and the
-two-pass replay machinery."""
+"""Boltzmann sampling: tuning laws, window rejection, determinism, the
+two-pass replay machinery, and the walk that writes bytes to a sink."""
 
 import io
 import random
@@ -12,6 +12,7 @@ from boltzxml import (
     ExhaustedError,
     MissingDatatypeError,
     Sampler,
+    SamplingError,
     SamplerConfig,
     SizeWindow,
     StartElement,
@@ -21,9 +22,11 @@ from boltzxml import (
     matches,
     parse_grammar,
     sample_in_window,
+    serialize_stream,
     skeleton_key,
     solve,
 )
+from boltzxml.cli import EXIT_INPUT, main
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 
@@ -341,3 +344,149 @@ def test_buffered_stream_matches_events(late_attr_sampler):
 def test_early_attributes_stream(grammars, oracles):
     assert not Sampler(grammars["attrs"], oracles["attrs"]).buffered
     assert not Sampler(grammars["feed"], oracles["feed"]).buffered
+
+
+# ---------------------------------------------------------------------------
+# the writer walk: sample_to_sink on streaming grammars
+
+
+def both_routes(sampler, config, sink=None, **kwargs):
+    """(sample_to_sink bytes, stats, serialize_stream bytes of the events)."""
+    sink = sink if sink is not None else io.BytesIO()
+    stats = sampler.sample_to_sink(config, sink, **kwargs)
+    events = sampler.sample_in_window(config).events
+    return sink, stats, events_to_bytes(events, **kwargs)
+
+
+def test_empty_text_value_closes_with_end_tag():
+    grammar = g(
+        "<start><element name='a'><element name='b'><text/></element>"
+        "<element name='c'><value></value></element></element></start>"
+    )
+    system = compile_grammar(grammar)
+    sampler = Sampler(
+        grammar, solve(system, 0.5), system=system,
+        registry={"string": lambda rng: ""},
+    )
+    assert not sampler.buffered
+    sink, stats, expected = both_routes(
+        sampler, SamplerConfig(window=SizeWindow(3, 0.0), seed=0)
+    )
+    assert sink.getvalue() == expected == b"<a><b></b><c></c></a>"
+    assert stats.bytes_written == len(expected)
+
+
+def test_namespaced_root_is_written_like_the_serializer():
+    grammar = g(
+        '<start><element name="a" ns="urn:x&amp;&quot;y">'
+        "<optional><ref name='a'/></optional></element></start>"
+        '<define name="a"><element name="a" ns="urn:x&amp;&quot;y">'
+        "<optional><ref name='a'/></optional></element></define>"
+    )
+    sampler = make_sampler(grammar, 0.3)
+    for seed in range(5):
+        sink, _, expected = both_routes(
+            sampler, SamplerConfig(window=SizeWindow(2, 1.0), seed=seed)
+        )
+        assert sink.getvalue() == expected
+        assert expected.startswith(b'<a xmlns="urn:x&amp;&quot;y"')
+
+
+@pytest.mark.parametrize("name", ["attrs", "feed", "ternary"])
+def test_xml_declaration_is_written_first(grammars, oracles, name):
+    sampler = Sampler(grammars[name], oracles[name])
+    config = SamplerConfig(window=SizeWindow(30, 0.5), seed=4, max_attempts=10**4)
+    sink, stats, expected = both_routes(sampler, config, xml_declaration=True)
+    assert sink.getvalue() == expected
+    assert expected.startswith(b'<?xml version="1.0" encoding="UTF-8"?>\n<')
+    assert stats.bytes_written == len(expected)
+
+
+class SilentSink:
+    """Binary sink whose write returns None, like some file wrappers."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, data):
+        self.parts.append(bytes(data))
+
+
+def test_byte_count_does_not_rely_on_write_result(grammars, oracles):
+    sampler = Sampler(grammars["feed"], oracles["feed"])
+    config = SamplerConfig(window=SizeWindow(40, 0.5), seed=2)
+    sink, stats, expected = both_routes(sampler, config, sink=SilentSink())
+    assert b"".join(sink.parts) == expected
+    assert stats.bytes_written == len(expected)
+
+
+class RebindingSink:
+    """Rebinds write to a buffer's method after the first call, noting how
+    many leaf values the walk had drawn by then."""
+
+    def __init__(self, draws):
+        self.buffer = io.BytesIO()
+        self.draws = draws
+        self.first_calls = 0
+        self.draws_at_first = None
+        self.write = self._first_write
+
+    def _first_write(self, data):
+        self.first_calls += 1
+        self.draws_at_first = len(self.draws)
+        self.write = self.buffer.write
+        return self.buffer.write(data)
+
+
+def test_first_write_comes_before_the_walk_ends(grammars, oracles):
+    draws = []
+
+    def title(rng):
+        draws.append(1)
+        return "t%d" % rng.randrange(100)
+
+    sampler = Sampler(grammars["feed"], oracles["feed"], registry={"string": title})
+    config = SamplerConfig(window=SizeWindow(40, 0.5), seed=7)
+    sink = RebindingSink(draws)
+    sampler.sample_to_sink(config, sink)
+    # every later write went to the rebound method, not the first one
+    assert sink.first_calls == 1
+    assert sink.draws_at_first == 0 < len(draws)
+    draws.clear()
+    assert sink.buffer.getvalue() == events_to_bytes(
+        sampler.sample_in_window(config).events
+    )
+
+
+DUPLICATE = (
+    '<start><element name="a"><group><attribute name="k"/>'
+    '<attribute name="k"/></group></element></start>'
+)
+
+
+def test_duplicate_attribute_raises_like_the_serializer():
+    sampler = make_sampler(g(DUPLICATE), 0.3)
+    assert not sampler.buffered
+    config = SamplerConfig(window=SizeWindow(3, 0.0), seed=0)
+    events = sampler.sample_in_window(config).events
+    with pytest.raises(SamplingError) as by_events:
+        serialize_stream(events, io.BytesIO())
+    with pytest.raises(SamplingError) as by_walk:
+        sampler.sample_to_sink(config, io.BytesIO())
+    assert str(by_walk.value) == str(by_events.value)
+    assert str(by_walk.value) == "duplicate attribute 'k' on element 'a'"
+
+
+def test_duplicate_attribute_leaves_no_file(tmp_path, capsys):
+    grammar = tmp_path / "dup.rng"
+    grammar.write_text("<grammar %s>%s</grammar>" % (RNG, DUPLICATE))
+    assert main(["compile", str(grammar)]) == 0
+    assert main(["solve", str(tmp_path / "dup.gfs"), "--x", "0.3"]) == 0
+    docs = tmp_path / "docs"
+    code = main([
+        "sample", str(grammar), str(tmp_path / "dup.oracle"),
+        "-n", "3", "-e", "0", "--out", str(docs),
+    ])
+    assert code == EXIT_INPUT
+    assert "duplicate attribute 'k'" in capsys.readouterr().err
+    assert list(docs.iterdir()) == []
