@@ -13,6 +13,7 @@ import math
 from collections import Counter
 
 from boltzxml import (
+    Sampler,
     SamplerConfig,
     SizeWindow,
     compile_grammar,
@@ -20,7 +21,6 @@ from boltzxml import (
     enumerate_documents,
     events_from_doc,
     load_bundled_grammar,
-    sample_in_window,
     skeleton_key,
     solve,
 )
@@ -46,14 +46,14 @@ print()
 
 # sample at exact size 7 (tolerance zero) and tally which of the five
 # documents appears; a uniform sampler splits the draws evenly
-oracle = solve(system)
+sampler = Sampler(grammar, solve(system), system=system)
 counts = Counter()
 draws = 5000
 for i in range(draws):
     config = SamplerConfig(
         window=SizeWindow(7, 0.0), seed=i, max_attempts=100_000
     )
-    sample = sample_in_window(grammar, oracle, config)
+    sample = sampler.sample_in_window(config)
     counts[skeleton_key(sample.events)] += 1
 
 expected = draws / len(docs)

@@ -13,20 +13,20 @@ import tempfile
 from pathlib import Path
 
 from boltzxml import (
+    Sampler,
     SamplerConfig,
     SizeWindow,
     compile_grammar,
     events_to_bytes,
     load_bundled_grammar,
     load_value_table,
-    sample_in_window,
     solve,
 )
 
 # the bundled attrs grammar: item elements carrying a required integer
 # id attribute and an optional fixed-choice lang attribute
 grammar = load_bundled_grammar("attrs")
-oracle = solve(compile_grammar(grammar))
+sampler = Sampler(grammar, solve(compile_grammar(grammar)))
 
 
 def first_items(body, limit=3):
@@ -36,7 +36,7 @@ def first_items(body, limit=3):
 
 # built-in samplers: integers are drawn from a wide default range
 config = SamplerConfig(window=SizeWindow(30, 0.3), seed=9)
-sample = sample_in_window(grammar, oracle, config)
+sample = sampler.sample_in_window(config)
 print("default integer sampler")
 for line in first_items(events_to_bytes(sample.events)):
     print("  " + line)
@@ -49,7 +49,7 @@ def small_id(rng):
 config = SamplerConfig(
     window=SizeWindow(30, 0.3), seed=9, registry={"integer": small_id}
 )
-sample = sample_in_window(grammar, oracle, config)
+sample = sampler.sample_in_window(config)
 print("custom integer sampler (ids below 100)")
 for line in first_items(events_to_bytes(sample.events)):
     print("  " + line)
@@ -64,7 +64,7 @@ with tempfile.TemporaryDirectory() as tmp:
     config = SamplerConfig(
         window=SizeWindow(30, 0.3), seed=9, registry=registry
     )
-    sample = sample_in_window(grammar, oracle, config)
+    sample = sampler.sample_in_window(config)
     print("value table from %s" % table.name)
     for line in first_items(events_to_bytes(sample.events)):
         print("  " + line)

@@ -19,7 +19,6 @@ from boltzxml import (
     compile_grammar,
     events_to_bytes,
     load_bundled_grammar,
-    sample_in_window,
     solve,
 )
 
@@ -37,7 +36,7 @@ print()
 
 # windowed draws: keep only sizes within 10 percent of the target
 config = SamplerConfig(window=SizeWindow(200, 0.1), seed=7)
-sample = sample_in_window(grammar, oracle, config)
+sample = sampler.sample_in_window(config)
 body = events_to_bytes(sample.events)
 print("windowed draw, target 200, tolerance 0.1")
 print("  accepted size %d after %d attempts" % (sample.size, sample.attempts))
@@ -46,7 +45,7 @@ print("  " + body[:120].decode("utf-8"))
 print()
 
 # the same seed always reproduces the same document
-again = sample_in_window(grammar, oracle, config)
+again = sampler.sample_in_window(config)
 assert events_to_bytes(again.events) == body
 print("same seed, same bytes: reproducible")
 print()
@@ -60,7 +59,7 @@ for n in (100, 400, 1600):
         cfg = SamplerConfig(
             window=SizeWindow(n, 0.1), seed=1000 + i, max_attempts=100_000
         )
-        s = sample_in_window(grammar, oracle, cfg)
+        s = sampler.sample_in_window(cfg)
         counts.append(s.attempts)
         accepted.append(s.size)
     print("  %6d   %8.0f   %.1f" % (n, mean(accepted), mean(counts)))

@@ -3,10 +3,11 @@ Streaming a very large document to disk
 =======================================
 
 Generation is two passes: a counting pass that only sizes candidate
-documents, and a replay pass that re-runs the accepted draw and emits
-events.  For grammars whose attributes can be written in document
-order the replay serializes straight to the sink, so memory stays flat
-no matter how large the document grows.
+documents, and a second walk that re-runs the accepted draw.  For
+grammars whose attributes can be written in document order that walk
+writes the document's bytes straight to the sink as it goes, with no
+event objects in between, so memory stays flat no matter how large the
+document grows.
 """
 
 import tempfile

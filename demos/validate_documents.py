@@ -12,27 +12,27 @@ import copy
 import xml.etree.ElementTree as ET
 
 from boltzxml import (
+    Sampler,
     SamplerConfig,
     SizeWindow,
     compile_grammar,
     events_to_bytes,
     load_bundled_grammar,
     matches,
-    sample_in_window,
     solve,
 )
 
 # the feed grammar nests channel metadata, optional per-item fields and
 # typed leaf values under an attributed root element
 grammar = load_bundled_grammar("feed")
-oracle = solve(compile_grammar(grammar), 0.55)
+sampler = Sampler(grammar, solve(compile_grammar(grammar), 0.55))
 
 good = 0
 for i in range(200):
     config = SamplerConfig(
         window=SizeWindow(40, 0.5), seed=i, max_attempts=100_000
     )
-    sample = sample_in_window(grammar, oracle, config)
+    sample = sampler.sample_in_window(config)
     root = ET.fromstring(events_to_bytes(sample.events))
     if matches(grammar, root):
         good += 1
@@ -42,8 +42,8 @@ print()
 # the matcher checks names, order and counts, so structural damage is
 # caught; leaf values are out of scope by design (the counting
 # semantics treat all values of a type alike)
-sample = sample_in_window(
-    grammar, oracle, SamplerConfig(window=SizeWindow(40, 0.5), seed=3)
+sample = sampler.sample_in_window(
+    SamplerConfig(window=SizeWindow(40, 0.5), seed=3)
 )
 root = ET.fromstring(events_to_bytes(sample.events))
 

@@ -78,8 +78,6 @@ from .sampler import (
     SizeWindow,
     StreamStats,
     WindowSample,
-    free_sample,
-    sample_in_window,
 )
 from .serialize import (
     DocNode,
@@ -159,8 +157,6 @@ __all__ = [
     "SizeWindow",
     "WindowSample",
     "StreamStats",
-    "free_sample",
-    "sample_in_window",
     "StartElement",
     "EndElement",
     "TextContent",

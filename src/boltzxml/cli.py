@@ -30,7 +30,7 @@ from .errors import (
 )
 from .newton import load_oracle, save_oracle, solve
 from .relaxng import parse_grammar
-from .sampler import Sampler, SamplerConfig, SizeWindow
+from .sampler import DEFAULT_MAX_ATTEMPTS, Sampler, SamplerConfig, SizeWindow
 from .system import compile_grammar, load_system
 
 __all__ = ["main"]
@@ -77,17 +77,23 @@ def _rejected_sizes(histogram):
     }
 
 
+def _load_grammar(path):
+    """Parse and compile a grammar file; returns (grammar, system)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    grammar = parse_grammar(data, source=str(path))
+    system = compile_grammar(
+        grammar, grammar_digest=hashlib.sha256(data).hexdigest()
+    )
+    return grammar, system
+
+
 # ---------------------------------------------------------------------------
 
 
 def cmd_compile(args):
     grammar_path = Path(args.grammar)
-    with open(grammar_path, "rb") as fh:
-        data = fh.read()
-    grammar = parse_grammar(data, source=str(grammar_path))
-    system = compile_grammar(
-        grammar, grammar_digest=hashlib.sha256(data).hexdigest()
-    )
+    grammar, system = _load_grammar(grammar_path)
     out = Path(args.output) if args.output else grammar_path.with_suffix(".gfs")
     system.save(out)
     print(
@@ -121,13 +127,7 @@ def cmd_solve(args):
 
 
 def cmd_sample(args):
-    grammar_path = Path(args.grammar)
-    with open(grammar_path, "rb") as fh:
-        data = fh.read()
-    grammar = parse_grammar(data, source=str(grammar_path))
-    system = compile_grammar(
-        grammar, grammar_digest=hashlib.sha256(data).hexdigest()
-    )
+    grammar, system = _load_grammar(args.grammar)
     oracle = load_oracle(args.oracle)
     digest = system.digest()
     if digest != oracle.system_digest:
@@ -139,7 +139,7 @@ def cmd_sample(args):
         )
 
     overrides = load_value_table(args.datatype_plugin) if args.datatype_plugin else None
-    sampler = Sampler(grammar, oracle, registry=overrides, system=system)
+    sampler = Sampler(grammar, oracle, system=system)
     window = SizeWindow(args.size, args.tolerance)
     if args.tolerance == 0.0:
         print(
@@ -159,7 +159,8 @@ def cmd_sample(args):
         for index in range(args.count):
             seed = args.seed + index
             config = SamplerConfig(
-                window=window, seed=seed, max_attempts=args.max_attempts
+                window=window, seed=seed, max_attempts=args.max_attempts,
+                registry=overrides,
             )
             started = time.perf_counter()
             try:
@@ -265,7 +266,7 @@ def _build_parser():
     p_sample.add_argument(
         "--max-attempts",
         type=int,
-        default=10000,
+        default=DEFAULT_MAX_ATTEMPTS,
         help="rejection attempts per document before giving up",
     )
     p_sample.add_argument(

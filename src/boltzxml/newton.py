@@ -29,9 +29,10 @@ so the values, and with them the bisection and every oracle, are those of
 the loop bit for bit.  numpy is imported on first use, so importing the
 package, or sampling from a saved oracle, does not load it.
 
-Defaults: tolerance 1e-12 on both the update and the residual, value
+Constants: tolerance 1e-12 on both the update and the residual, value
 ceiling 1e8, iteration cap 500, falling-step tolerance 1e-6, bisection
-bracket width 1e-8, automatic evaluation point rho_lower * (1 - 1e-7).
+over [0, 1] to a bracket width of 1e-8, automatic evaluation point
+rho_lower * (1 - 1e-7).
 """
 
 from __future__ import annotations
@@ -191,14 +192,7 @@ def _as_num(system):
     return _NumSystem(system)
 
 
-def newton_evaluate(
-    system,
-    x,
-    *,
-    tolerance=TOLERANCE,
-    ceiling=VALUE_CEILING,
-    iteration_cap=ITERATION_CAP,
-):
+def newton_evaluate(system, x):
     """Evaluate all class generating functions at x, or raise DivergedError."""
     import numpy as np
 
@@ -207,27 +201,27 @@ def newton_evaluate(
     m = num.m
     Y = np.zeros(m)
     eye = np.eye(m)
-    for it in range(1, iteration_cap + 1):
+    for it in range(1, ITERATION_CAP + 1):
         table = num.powers(Y)
         F = num.phi(bound, Y, table)
-        if not np.isfinite(F).all() or (F > ceiling).any():
-            raise DivergedError(x, "values exceeded the ceiling %g" % ceiling)
+        if not np.isfinite(F).all() or (F > VALUE_CEILING).any():
+            raise DivergedError(x, "values exceeded the ceiling %g" % VALUE_CEILING)
         J = num.jacobian(bound, Y, table)
         try:
             delta = np.linalg.solve(eye - J, F - Y)
         except np.linalg.LinAlgError:
             raise DivergedError(x, "singular Newton matrix") from None
         Y = Y + delta
-        if not np.isfinite(Y).all() or (np.abs(Y) > ceiling).any():
-            raise DivergedError(x, "values exceeded the ceiling %g" % ceiling)
+        if not np.isfinite(Y).all() or (np.abs(Y) > VALUE_CEILING).any():
+            raise DivergedError(x, "values exceeded the ceiling %g" % VALUE_CEILING)
         if (delta < -FALL_TOLERANCE * np.maximum(1.0, np.abs(Y))).any():
             raise DivergedError(
                 x, "Newton step fell at iteration %d, so x is at or past "
                 "the singularity" % it
             )
-        if np.max(np.abs(delta)) < tolerance:
+        if np.max(np.abs(delta)) < TOLERANCE:
             residual = float(np.max(np.abs(num.phi(bound, Y) - Y)))
-            if residual >= tolerance:
+            if residual >= TOLERANCE:
                 continue
             if np.min(Y) < -1e-9:
                 raise DivergedError(
@@ -236,7 +230,7 @@ def newton_evaluate(
             Y = np.maximum(Y, 0.0)
             values = {name: float(Y[i]) for i, name in enumerate(num.names)}
             return NewtonResult(values, it, residual)
-    raise DivergedError(x, "no convergence within %d iterations" % iteration_cap)
+    raise DivergedError(x, "no convergence within %d iterations" % ITERATION_CAP)
 
 
 @dataclass
@@ -246,35 +240,24 @@ class SingularityEstimate:
     upper: float
 
 
-def estimate_singularity(
-    system,
-    *,
-    xmax=1.0,
-    bracket_width=BRACKET_WIDTH,
-    tolerance=TOLERANCE,
-    ceiling=VALUE_CEILING,
-    iteration_cap=ITERATION_CAP,
-):
-    """Bisection estimate of the dominant singularity.
+def estimate_singularity(system):
+    """Bisection estimate of the dominant singularity in [0, 1].
 
     Invariant: Newton converges at the lower end and diverges at the upper
-    end.  Raises NoFiniteSingularityError if it converges at xmax."""
+    end.  Raises NoFiniteSingularityError if it converges at x = 1."""
     num = _as_num(system)
 
     def converges(x):
         try:
-            newton_evaluate(
-                num, x, tolerance=tolerance, ceiling=ceiling,
-                iteration_cap=iteration_cap,
-            )
+            newton_evaluate(num, x)
             return True
         except DivergedError:
             return False
 
-    if converges(xmax):
-        raise NoFiniteSingularityError(xmax)
-    lo, hi = 0.0, xmax
-    while hi - lo > bracket_width:
+    if converges(1.0):
+        raise NoFiniteSingularityError(1.0)
+    lo, hi = 0.0, 1.0
+    while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if converges(mid):
             lo = mid
@@ -295,65 +278,39 @@ class OracleTable:
     residual: float
     system_digest: str
 
-    def value(self, cls):
-        return self.values[cls]
 
-
-def solve(
-    system,
-    x="auto",
-    *,
-    backoff=AUTO_BACKOFF,
-    xmax=1.0,
-    bracket_width=BRACKET_WIDTH,
-    tolerance=TOLERANCE,
-    ceiling=VALUE_CEILING,
-    iteration_cap=ITERATION_CAP,
-):
+def solve(system, x="auto"):
     """Produce an OracleTable for a system.
 
     With x="auto" the singularity is bracketed first and the evaluation
-    point is rho_lower * (1 - backoff).  With an explicit x the values are
-    computed directly; if Newton diverges there, the singularity is
+    point is rho_lower * (1 - AUTO_BACKOFF).  With an explicit x the values
+    are computed directly; if Newton diverges there, the singularity is
     bracketed and reported in the error."""
-    kw = dict(tolerance=tolerance, ceiling=ceiling, iteration_cap=iteration_cap)
     num = _NumSystem(system)
-    digest = system.digest()
     if x == "auto":
-        est = estimate_singularity(
-            num, xmax=xmax, bracket_width=bracket_width, **kw
-        )
-        point = est.rho * (1.0 - backoff)
-        result = newton_evaluate(num, point, **kw)
-        return OracleTable(
-            x=point,
-            values=result.values,
-            rho_lower=est.lower,
-            rho_upper=est.upper,
-            iterations=result.iterations,
-            residual=result.residual,
-            system_digest=digest,
-        )
-    x = float(x)
-    try:
-        result = newton_evaluate(num, x, **kw)
-    except DivergedError as exc:
+        est = estimate_singularity(num)
+        x = est.rho * (1.0 - AUTO_BACKOFF)
+        result = newton_evaluate(num, x)
+    else:
+        est = None
+        x = float(x)
         try:
-            est = estimate_singularity(
-                num, xmax=xmax, bracket_width=bracket_width, **kw
-            )
-            bracket = (est.lower, est.upper)
-        except NoFiniteSingularityError:
-            bracket = None
-        raise DivergedError(x, exc.reason, bracket=bracket) from None
+            result = newton_evaluate(num, x)
+        except DivergedError as exc:
+            try:
+                est = estimate_singularity(num)
+                bracket = (est.lower, est.upper)
+            except NoFiniteSingularityError:
+                bracket = None
+            raise DivergedError(x, exc.reason, bracket=bracket) from None
     return OracleTable(
         x=x,
         values=result.values,
-        rho_lower=None,
-        rho_upper=None,
+        rho_lower=None if est is None else est.lower,
+        rho_upper=None if est is None else est.upper,
         iterations=result.iterations,
         residual=result.residual,
-        system_digest=digest,
+        system_digest=system.digest(),
     )
 
 

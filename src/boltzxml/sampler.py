@@ -58,8 +58,6 @@ __all__ = [
     "WindowSample",
     "StreamStats",
     "Sampler",
-    "free_sample",
-    "sample_in_window",
 ]
 
 DEFAULT_MAX_ATTEMPTS = 10000
@@ -95,20 +93,11 @@ class SamplerConfig:
     window: SizeWindow
     seed: int = 0
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    hard_size_ceiling: "int | None" = None
     registry: "dict | None" = None  # datatype overrides for this run
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if (
-            self.hard_size_ceiling is not None
-            and self.hard_size_ceiling < self.window.upper
-        ):
-            raise ValueError(
-                "hard size ceiling %d is below the window upper bound %d"
-                % (self.hard_size_ceiling, self.window.upper)
-            )
 
 
 @dataclass
@@ -149,13 +138,12 @@ def _choice_cdf(live):
 class Sampler:
     """Prepared sampler for one grammar and its oracle."""
 
-    def __init__(self, grammar, oracle, *, registry=None, system=None):
+    def __init__(self, grammar, oracle, *, system=None):
         self.grammar = grammar
         self.oracle = oracle
         self.system = system if system is not None else compile_grammar(grammar)
         verify_oracle(oracle, self.system)
         self.x = oracle.x
-        self.overrides = dict(registry) if registry else {}
         self.used_types = set()
         self._weight_memo = {}
         self._build_plan()
@@ -331,9 +319,7 @@ class Sampler:
         )
 
     def registry_for(self, overrides=None):
-        registry = merge_registries(self.overrides)
-        if overrides:
-            registry.update(overrides)
+        registry = merge_registries(overrides)
         missing = self.used_types - set(registry)
         if missing:
             raise MissingDatatypeError(missing)
@@ -629,12 +615,3 @@ class Sampler:
             written += self._walk_write(rng_s, rng_v, upper, registry, sink)
         return StreamStats(size, attempt, written, sizes)
 
-
-def free_sample(grammar, oracle, rng=None, *, ceiling=DEFAULT_FREE_CEILING, registry=None):
-    """Convenience wrapper; builds a throwaway Sampler per call."""
-    return Sampler(grammar, oracle).free_sample(rng, ceiling=ceiling, registry=registry)
-
-
-def sample_in_window(grammar, oracle, config):
-    """Convenience wrapper; builds a throwaway Sampler per call."""
-    return Sampler(grammar, oracle).sample_in_window(config)

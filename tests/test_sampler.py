@@ -21,7 +21,6 @@ from boltzxml import (
     events_to_bytes,
     matches,
     parse_grammar,
-    sample_in_window,
     serialize_stream,
     skeleton_key,
     solve,
@@ -79,9 +78,6 @@ def test_config_validation():
     window = SizeWindow(10, 0.1)
     with pytest.raises(ValueError):
         SamplerConfig(window=window, max_attempts=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(window=window, hard_size_ceiling=5)
-    SamplerConfig(window=window, hard_size_ceiling=11)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +127,6 @@ def test_stream_matches_window_sample(grammars, oracles):
     stats = sampler.sample_to_sink(config, sink)
     assert sink.getvalue() == events_to_bytes(sample.events)
     assert (stats.size, stats.attempts) == (sample.size, sample.attempts)
-
-
-def test_module_level_wrappers(grammars, oracles):
-    config = SamplerConfig(window=SizeWindow(10, 0.5), seed=3)
-    sample = sample_in_window(grammars["binary"], oracles["binary"], config)
-    assert 5 <= sample.size <= 15
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +249,26 @@ def test_windowed_documents_validate(grammars, oracles):
 
 def test_value_stream_does_not_disturb_structure(grammars, oracles):
     # overriding value samplers must leave the skeleton untouched
-    sampler_a = Sampler(grammars["attrs"], oracles["attrs"])
-    sampler_b = Sampler(
-        grammars["attrs"],
-        oracles["attrs"],
-        registry={"integer": lambda rng: str(rng.randrange(10**9))},
+    sampler = Sampler(grammars["attrs"], oracles["attrs"])
+    window = SizeWindow(15, 0.5)
+    a = sampler.sample_in_window(SamplerConfig(window=window, seed=8))
+    b = sampler.sample_in_window(
+        SamplerConfig(
+            window=window,
+            seed=8,
+            registry={"integer": lambda rng: str(rng.randrange(10**9))},
+        )
     )
-    config = SamplerConfig(window=SizeWindow(15, 0.5), seed=8)
-    a = sampler_a.sample_in_window(config)
-    b = sampler_b.sample_in_window(config)
     assert skeleton_key(a.events) == skeleton_key(b.events)
     assert (a.size, a.attempts) == (b.size, b.attempts)
 
 
 def test_registry_forces_values(grammars, oracles):
-    sampler = Sampler(
-        grammars["attrs"], oracles["attrs"], registry={"integer": lambda rng: "99"}
-    )
+    sampler = Sampler(grammars["attrs"], oracles["attrs"])
     sample = sampler.sample_in_window(
-        SamplerConfig(window=SizeWindow(6, 0.5), seed=2)
+        SamplerConfig(
+            window=SizeWindow(6, 0.5), seed=2, registry={"integer": lambda rng: "99"}
+        )
     )
     root = doc_from_events(sample.events)
     assert root.get("id") == "99"
@@ -364,13 +355,13 @@ def test_empty_text_value_closes_with_end_tag():
         "<element name='c'><value></value></element></element></start>"
     )
     system = compile_grammar(grammar)
-    sampler = Sampler(
-        grammar, solve(system, 0.5), system=system,
-        registry={"string": lambda rng: ""},
-    )
+    sampler = Sampler(grammar, solve(system, 0.5), system=system)
     assert not sampler.buffered
     sink, stats, expected = both_routes(
-        sampler, SamplerConfig(window=SizeWindow(3, 0.0), seed=0)
+        sampler,
+        SamplerConfig(
+            window=SizeWindow(3, 0.0), seed=0, registry={"string": lambda rng: ""}
+        ),
     )
     assert sink.getvalue() == expected == b"<a><b></b><c></c></a>"
     assert stats.bytes_written == len(expected)
@@ -445,8 +436,10 @@ def test_first_write_comes_before_the_walk_ends(grammars, oracles):
         draws.append(1)
         return "t%d" % rng.randrange(100)
 
-    sampler = Sampler(grammars["feed"], oracles["feed"], registry={"string": title})
-    config = SamplerConfig(window=SizeWindow(40, 0.5), seed=7)
+    sampler = Sampler(grammars["feed"], oracles["feed"])
+    config = SamplerConfig(
+        window=SizeWindow(40, 0.5), seed=7, registry={"string": title}
+    )
     sink = RebindingSink(draws)
     sampler.sample_to_sink(config, sink)
     # every later write went to the rebound method, not the first one
