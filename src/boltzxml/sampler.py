@@ -9,9 +9,13 @@ recurses, an attribute contributes size 1.  Conditioned on total size,
 every document of that size is equally likely.
 
 Size control is rejection in a window [n(1-eps), n(1+eps)]: a cheap
-counting pass draws only structure and aborts early past the upper bound;
-on acceptance the structure stream is rewound to a checkpoint and the
-accepted attempt is replayed by one of two walks that make the same draws:
+counting pass draws only structure and aborts early past the upper bound.
+It runs its own plan of fused ops, about half as many per node as the
+event plan, which add the size of draw-free content in one step and
+join an element to its first choice; each makes the same draws in the
+same order and checks the ceiling before its next draw.  On acceptance
+the structure stream is rewound to a checkpoint and the accepted attempt
+is replayed by one of two walks that make the same draws:
 
 - _walk_write writes the document's UTF-8 bytes to a sink while it is
   generated, with no event objects in between.  sample_to_sink uses it
@@ -116,12 +120,33 @@ class StreamStats:
     sizes: list = field(repr=False)
 
 
-# op codes shared by the counting plan and the event plan
-_ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END, _DEAD = range(8)
+# Op codes.  The event plan, run by the replay walks, has one op per node:
+# _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END and _DEAD.  The counting
+# plan has fused ops, each ending its adds with a ceiling check:
+#   (_ADD, k, children)             add k, push children
+#   (_ADD_CHOICE, k, cps, branches) add k, draw, push a branch
+#   (_CHOICE, cps, branches, leads) draw, add the branch's lead, push it
+#   (_SEQ, log p, child) and (_DEAD,) as in the event plan
+_ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END, _DEAD, _ADD, _ADD_CHOICE = range(10)
 
 
 def _rev(ops):
     return tuple(reversed(ops))
+
+
+def _push(items, item):
+    """Append a counting item, summing it into a fixed size before it."""
+    if isinstance(item, int) and items and isinstance(items[-1], int):
+        items[-1] += item
+    else:
+        items.append(item)
+
+
+def _split_lead(items):
+    """(leading fixed size, the items after it)."""
+    if items and isinstance(items[0], int):
+        return items[0], items[1:]
+    return 0, items
 
 
 def _choice_cdf(live):
@@ -146,6 +171,7 @@ class Sampler:
         self.x = oracle.x
         self.used_types = set()
         self._weight_memo = {}
+        self._live_memo = {}
         self._build_plan()
 
     # -- weights ----------------------------------------------------------
@@ -185,28 +211,61 @@ class Sampler:
     # -- plan construction ------------------------------------------------
 
     def _build_plan(self):
-        """Counting ops (_ELEM, name, children) and event ops
-        (_ELEM, head, children, end, name, ns) per definition; head is the
-        encoded '<name' with any xmlns, end the shared (_END, b'</name>')."""
-        self._count_elem = {}
+        """Build the event plan and the counting plan from the grammar.
+
+        Event ops per definition are (_ELEM, head, children, end, name, ns);
+        head is the encoded '<name' with any xmlns, end the shared
+        (_END, b'</name>').  The counting plan fuses what it can: a run of
+        draw-free content is one add, an element's leading run joins its
+        own add, as a branch's leading run joins its choice, and an element
+        whose first draw is a choice becomes one _ADD_CHOICE whose branches
+        go on with the rest of its content.  Its ops run in the order of
+        the event ops they stand for, so they make the same draws."""
+        self._fixed = {}
         self._event_elem = {}
+        self._count_elem = {}
         g = self.grammar
         for name, body in g.defines.items():
             head = "<" + body.name
             if body.ns:
                 head += ' xmlns="%s"' % _esc_attr(body.ns)
             end = (_END, ("</%s>" % body.name).encode())
-            self._count_elem[name] = (_ELEM, body.name, [])
             self._event_elem[name] = (
                 _ELEM, head.encode(), [], end, body.name, body.ns
             )
+        # counting ops are made before their children so references can
+        # share them; a recursive definition refers to its own op
+        pending = []
         for name, body in g.defines.items():
-            c_ops, e_ops = self._compile_pair(body.content)
-            self._count_elem[name][2].extend(_rev(c_ops))
-            self._event_elem[name][2].extend(_rev(e_ops))
-        c_start, e_start = self._compile_pair(g.start)
-        self._count_start = _rev(c_start)
-        self._event_start = _rev(e_start)
+            lead, items = _split_lead(self._count_items(body.content, []))
+            if (
+                items
+                and isinstance(items[0], ast.Choice)
+                and self._live_branches(items[0])
+            ):
+                # the element's first draw is this choice; each branch goes
+                # on with the rest of the element's content
+                live = self._live_branches(items[0])
+                op = (_ADD_CHOICE, 1 + lead, _choice_cdf(live), [])
+                rest = []
+                for _, b in live:
+                    run = self._count_items(b, [])
+                    for item in items[1:]:
+                        _push(run, item)
+                    rest.append(run)
+            else:
+                op, rest = (_ADD, 1 + lead, []), items
+            self._count_elem[name] = op
+            pending.append((op, rest))
+        for name, body in g.defines.items():
+            self._event_elem[name][2].extend(_rev(self._compile_events(body.content)))
+        for op, rest in pending:
+            if op[0] == _ADD_CHOICE:
+                op[3].extend(_rev(self._count_run(run)) for run in rest)
+            else:
+                op[2].extend(_rev(self._count_run(rest)))
+        self._event_start = _rev(self._compile_events(g.start))
+        self._count_start = _rev(self._count_run(self._count_items(g.start, [])))
         self.buffered = any(
             self._scan_late(body.content)[2] for body in g.defines.values()
         )
@@ -247,52 +306,104 @@ class Sampler:
 
     def _live_branches(self, p):
         """(weight, branch) pairs of a choice with positive weight."""
-        branches = []
-        self._flatten_choice(p, branches)
-        return [(w, b) for w, b in branches if w > 0.0]
+        key = id(p)
+        live = self._live_memo.get(key)
+        if live is None:
+            branches = []
+            self._flatten_choice(p, branches)
+            live = self._live_memo[key] = [(w, b) for w, b in branches if w > 0.0]
+        return live
 
-    def _compile_pair(self, p):
-        """Compile a pattern into (counting ops, event ops), execution order."""
+    def _compile_events(self, p):
+        """Compile a pattern into event ops, execution order."""
         if isinstance(p, ast.Empty):
-            return (), ()
+            return ()
         if isinstance(p, ast.NotAllowed):
-            return ((_DEAD,),), ((_DEAD,),)
+            return ((_DEAD,),)
         if isinstance(p, ast.Text):
             self.used_types.add("string")
-            return (), ((_TEXT, "string"),)
+            return ((_TEXT, "string"),)
         if isinstance(p, ast.Data):
             self.used_types.add(p.type)
-            return (), ((_TEXT, p.type),)
+            return ((_TEXT, p.type),)
         if isinstance(p, ast.Value):
-            return (), ((_LIT, p.literal, _esc_text(p.literal).encode()),)
+            return ((_LIT, p.literal, _esc_text(p.literal).encode()),)
         if isinstance(p, ast.Attribute):
-            vplan = self._compile_value(p.content)
-            return ((_ATTR,),), ((_ATTR, p.name, vplan),)
+            return ((_ATTR, p.name, self._compile_value(p.content)),)
         if isinstance(p, ast.Ref):
-            return (self._count_elem[p.name],), (self._event_elem[p.name],)
+            return (self._event_elem[p.name],)
         if isinstance(p, ast.Group):
-            lc, le = self._compile_pair(p.left)
-            rc, re_ = self._compile_pair(p.right)
-            return lc + rc, le + re_
+            return self._compile_events(p.left) + self._compile_events(p.right)
         if isinstance(p, ast.OneOrMore):
             ratio = self.weight(p.child)
             if ratio <= 0.0:
-                return ((_DEAD,),), ((_DEAD,),)
-            cc, ce = self._compile_pair(p.child)
-            logp = math.log(ratio)
-            return ((_SEQ, logp, _rev(cc)),), ((_SEQ, logp, _rev(ce)),)
+                return ((_DEAD,),)
+            return ((_SEQ, math.log(ratio), _rev(self._compile_events(p.child))),)
         if isinstance(p, ast.Choice):
             live = self._live_branches(p)
             if not live:
-                return ((_DEAD,),), ((_DEAD,),)
+                return ((_DEAD,),)
             if len(live) == 1:
-                return self._compile_pair(live[0][1])
-            cps = _choice_cdf(live)
-            pairs = [self._compile_pair(b) for _, b in live]
-            c_branches = tuple(_rev(c) for c, _ in pairs)
-            e_branches = tuple(_rev(e) for _, e in pairs)
-            return ((_CHOICE, cps, c_branches),), ((_CHOICE, cps, e_branches),)
+                return self._compile_events(live[0][1])
+            branches = tuple(_rev(self._compile_events(b)) for _, b in live)
+            return ((_CHOICE, _choice_cdf(live), branches),)
         raise SamplingError("unexpected pattern %s" % type(p).__name__)
+
+    def _fixed_size(self, name):
+        """Size a definition always adds with no structure draw, or None;
+        memoized per definition.  A reference met while its own definition
+        is being sized lies on a draw-free cycle, which never ends: None."""
+        memo = self._fixed
+        if name not in memo:
+            memo[name] = None
+            items = self._count_items(self.grammar.defines[name].content, [])
+            if all(isinstance(item, int) for item in items):
+                memo[name] = 1 + sum(items)
+        return memo[name]
+
+    def _count_items(self, p, out):
+        """Append a pattern as the counting walk sees it, in execution
+        order: the sizes of its draw-free runs (ints, adjacent ones summed)
+        and the nodes that draw or fail.  Returns out."""
+        if isinstance(p, ast.Group):
+            self._count_items(p.left, out)
+            self._count_items(p.right, out)
+        elif isinstance(p, ast.Ref):
+            k = self._fixed_size(p.name)
+            if k is None:
+                out.append(p)
+            else:
+                _push(out, k)
+        elif isinstance(p, ast.Attribute):
+            _push(out, 1)  # its value comes from the value stream
+        elif isinstance(p, ast.Choice) and len(self._live_branches(p)) == 1:
+            self._count_items(self._live_branches(p)[0][1], out)
+        elif not isinstance(p, (ast.Empty, ast.Text, ast.Data, ast.Value)):
+            out.append(p)
+        return out
+
+    def _count_run(self, items):
+        """Counting ops, in execution order, for _count_items' output."""
+        ops = []
+        for p in items:
+            if isinstance(p, int):
+                ops.append((_ADD, p, ()))
+            elif isinstance(p, ast.Ref):
+                ops.append(self._count_elem[p.name])
+            elif isinstance(p, ast.OneOrMore) and self.weight(p.child) > 0.0:
+                child = _rev(self._count_run(self._count_items(p.child, [])))
+                ops.append((_SEQ, math.log(self.weight(p.child)), child))
+            elif isinstance(p, ast.Choice) and self._live_branches(p):
+                # a branch's leading draw-free run joins the choice
+                live = self._live_branches(p)
+                leads, runs = zip(
+                    *(_split_lead(self._count_items(b, [])) for _, b in live)
+                )
+                branches = tuple(_rev(self._count_run(run)) for run in runs)
+                ops.append((_CHOICE, _choice_cdf(live), branches, leads))
+            else:
+                ops.append((_DEAD,))
+        return ops
 
     def _compile_value(self, p):
         if isinstance(p, ast.Text):
@@ -328,7 +439,11 @@ class Sampler:
     # -- walks ------------------------------------------------------------
 
     def _count_walk(self, rng, ceiling):
-        """Structure-only generation pass; returns size or -1 on abort."""
+        """Structure-only generation pass; returns size or -1 on abort.
+
+        It makes the replay walks' structure draws in the same order and
+        checks the ceiling after every add, before the next draw, so it
+        aborts before the same draw they would."""
         stack = list(self._count_start)
         size = 0
         rnd = rng.random
@@ -336,21 +451,37 @@ class Sampler:
         while stack:
             op = stack.pop()
             k = op[0]
-            if k == _ELEM:
-                size += 1
+            if k == _ADD_CHOICE:
+                size += op[1]
                 if size > ceiling:
                     return -1
-                if op[2]:
-                    stack.extend(op[2])
+                u = rnd()
+                cps = op[2]
+                i = 0
+                while u >= cps[i]:
+                    i += 1
+                branch = op[3][i]
+                if branch:
+                    stack.extend(branch)
             elif k == _CHOICE:
                 u = rnd()
                 cps = op[1]
                 i = 0
                 while u >= cps[i]:
                     i += 1
+                if op[3][i]:
+                    size += op[3][i]
+                    if size > ceiling:
+                        return -1
                 branch = op[2][i]
                 if branch:
                     stack.extend(branch)
+            elif k == _ADD:
+                size += op[1]
+                if size > ceiling:
+                    return -1
+                if op[2]:
+                    stack.extend(op[2])
             elif k == _SEQ:
                 # geometric count from one uniform; 1-u avoids log(0)
                 reps = 1 + int(log(1.0 - rnd()) / op[1])
@@ -359,10 +490,6 @@ class Sampler:
                 child = op[2]
                 for _ in range(reps):
                     stack.extend(child)
-            elif k == _ATTR:
-                size += 1
-                if size > ceiling:
-                    return -1
             else:
                 raise SamplingError("dead branch executed; plan is inconsistent")
         return size

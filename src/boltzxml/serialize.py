@@ -58,8 +58,17 @@ class DocNode:
 XML_DECLARATION = b'<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
+# A parser turns a raw CR into LF, and a raw tab, LF or CR inside an
+# attribute value into a space; character references survive both.
+
+
 def _esc_text(s):
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (
+        s.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
 
 
 def _esc_attr(s):
@@ -68,6 +77,9 @@ def _esc_attr(s):
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
+        .replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+        .replace("\r", "&#13;")
     )
 
 

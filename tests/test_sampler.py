@@ -383,6 +383,33 @@ def test_namespaced_root_is_written_like_the_serializer():
         assert expected.startswith(b'<a xmlns="urn:x&amp;&quot;y"')
 
 
+@pytest.mark.parametrize("late", [False, True])
+def test_whitespace_in_values_survives_a_parser(late):
+    # a parser turns a raw tab, LF or CR in an attribute value into a
+    # space and a raw CR in text into LF, so both must be escaped
+    attrs = (
+        '<attribute name="v"><value type="string">p&#10;q</value></attribute>'
+        '<attribute name="w"><data type="token"/></attribute>'
+    )
+    content = (
+        '<value type="string">r&#13;s</value>'
+        '<element name="b"><data type="token"/></element>'
+    )
+    body = content + attrs if late else attrs + content
+    grammar = g("<start><element name='a'>%s</element></start>" % body)
+    sampler = make_sampler(grammar, 0.5)
+    assert sampler.buffered == late
+    value = "t\tu\r\nv\r"
+    config = SamplerConfig(
+        window=SizeWindow(4, 0.0), seed=0, registry={"token": lambda rng: value}
+    )
+    sink, _, expected = both_routes(sampler, config)
+    assert sink.getvalue() == expected
+    root = ET.fromstring(expected)
+    assert (root.get("v"), root.get("w")) == ("p\nq", value)
+    assert (root.text, root[0].text) == ("r\rs", value)
+
+
 @pytest.mark.parametrize("name", ["attrs", "feed", "ternary"])
 def test_xml_declaration_is_written_first(grammars, oracles, name):
     sampler = Sampler(grammars[name], oracles[name])

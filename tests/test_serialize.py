@@ -124,19 +124,19 @@ def test_hypothesis_text_round_trip():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    # XML 1.0 valid chars, minus \r (parsers normalize it away)
+    # XML 1.0 valid chars, plus the whitespace a parser would normalize
+    # if it were written raw
     text_chars = st.characters(
         min_codepoint=0x20,
         blacklist_categories=("Cs",),
-        blacklist_characters="\r￾￿",
+        blacklist_characters="\ufffe\uffff",
     )
-    texts = st.text(alphabet=text_chars, min_size=1, max_size=40)
-    # attribute values also lose tabs/newlines to normalization
-    attr_texts = texts
+    texts = st.text(alphabet=text_chars | st.sampled_from("\t\n\r"),
+                    min_size=1, max_size=40)
 
     @settings(max_examples=80, deadline=None)
-    @given(text=texts | st.sampled_from(["\t", "\n", "mixed \t\n text"]),
-           attr=attr_texts)
+    @given(text=texts | st.sampled_from(["\t", "\r\n", "mixed \t\n\r text"]),
+           attr=texts)
     def round_trip(text, attr):
         doc = DocNode("a", (("k", attr),), (text,))
         parsed = ET.fromstring(doc_to_xml(doc).encode("utf-8"))
