@@ -237,33 +237,35 @@ class Sampler:
         # share them; a recursive definition refers to its own op
         pending = []
         for name, body in g.defines.items():
+            if self._fixed_size(name) is not None:
+                continue  # every reference adds its size instead
             lead, items = _split_lead(self._count_items(body.content, []))
             if (
                 items
                 and isinstance(items[0], ast.Choice)
                 and self._live_branches(items[0])
             ):
-                # the element's first draw is this choice; each branch goes
-                # on with the rest of the element's content
-                live = self._live_branches(items[0])
-                op = (_ADD_CHOICE, 1 + lead, _choice_cdf(live), [])
-                rest = []
-                for _, b in live:
-                    run = self._count_items(b, [])
-                    for item in items[1:]:
-                        _push(run, item)
-                    rest.append(run)
+                cps = _choice_cdf(self._live_branches(items[0]))
+                op = (_ADD_CHOICE, 1 + lead, cps, [])
             else:
-                op, rest = (_ADD, 1 + lead, []), items
+                op = (_ADD, 1 + lead, [])
             self._count_elem[name] = op
-            pending.append((op, rest))
+            pending.append((op, items))
         for name, body in g.defines.items():
             self._event_elem[name][2].extend(_rev(self._compile_events(body.content)))
-        for op, rest in pending:
-            if op[0] == _ADD_CHOICE:
-                op[3].extend(_rev(self._count_run(run)) for run in rest)
-            else:
-                op[2].extend(_rev(self._count_run(rest)))
+        for op, items in pending:
+            if op[0] == _ADD:
+                op[2].extend(_rev(self._count_run(items)))
+                continue
+            # the element's first draw is this choice; each branch goes on
+            # with the rest of the element's content
+            rest_lead, rest = _split_lead(items[1:])
+            rest = self._count_run(rest)
+            for _, b in self._live_branches(items[0]):
+                run = self._count_items(b, [])
+                if rest_lead:
+                    _push(run, rest_lead)
+                op[3].append(_rev(self._count_run(run) + rest))
         self._event_start = _rev(self._compile_events(g.start))
         self._count_start = _rev(self._count_run(self._count_items(g.start, [])))
         self.buffered = any(
