@@ -1,9 +1,9 @@
 """The fused counting plan against the event plan.
 
 _count_walk runs fused ops (a run of draw-free sizes in one add, an
-element's leading draw-free content in its own add, an element whose
-remaining content is one choice in one op), so it pops far fewer ops than
-_walk_buffered.  It must still return the size _walk_buffered reaches, -1
+element's leading draw-free content in its own add, a branch's leading
+draw-free content in its choice, an element whose first draw is a choice
+in one op), so it pops far fewer ops than _walk_buffered.  It must still return the size _walk_buffered reaches, -1
 exactly where _walk_buffered raises CeilingExceededError, and leave the
 structure stream in the same state: the same draws in the same order, and
 an abort before the same draw."""
@@ -23,6 +23,7 @@ from boltzxml import (
     parse_grammar_file,
     solve,
 )
+from boltzxml.sampler import _ADD, _ADD_CHOICE, _CHOICE
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 DATA = Path(__file__).parent / "data"
@@ -139,8 +140,6 @@ def test_counting_plan_matches_event_plan(name):
 
 
 def test_fused_forms_are_built():
-    from boltzxml.sampler import _ADD, _ADD_CHOICE, _CHOICE
-
     # ternary's element is one op: add 1, check, choose the children
     ternary = _sampler("ternary")
     assert ternary._count_elem["t"][:2] == (_ADD_CHOICE, 1)
