@@ -3,11 +3,11 @@ Streaming a very large document to disk
 =======================================
 
 Generation is two passes: a counting pass that only sizes candidate
-documents, and a second walk that re-runs the accepted draw.  For
-grammars whose attributes can be written in document order that walk
+documents, and a second walk that re-runs the accepted draw.  That walk
 writes the document's bytes straight to the sink as it goes, with no
-event objects in between, so memory stays flat no matter how large the
-document grows.
+event objects in between.  Only an element whose attributes can follow
+its content holds back its subtree until its start tag is complete, so
+memory stays flat no matter how large the document grows.
 """
 
 import tempfile

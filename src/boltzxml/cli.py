@@ -127,19 +127,21 @@ def cmd_solve(args):
 
 
 def cmd_sample(args):
+    if args.count < 1:
+        raise ValueError("--count must be at least 1, got %d" % args.count)
+    if args.seed < 0:
+        raise ValueError("--seed must not be negative, got %d" % args.seed)
     grammar, system = _load_grammar(args.grammar)
     oracle = load_oracle(args.oracle)
-    digest = system.digest()
-    if digest != oracle.system_digest:
+    try:
+        sampler = Sampler(grammar, oracle, system=system)
+    except OracleMismatchError as exc:
         raise OracleMismatchError(
-            "oracle %s was solved for a different system "
-            "(grammar compiles to %s..., oracle records %s...); "
-            "re-run 'boltzxml solve' on the current grammar"
-            % (args.oracle, digest[:12], oracle.system_digest[:12])
-        )
+            "%s: %s" % (args.oracle, exc.reason),
+            "re-run 'boltzxml solve' on the current grammar",
+        ) from None
 
     overrides = load_value_table(args.datatype_plugin) if args.datatype_plugin else None
-    sampler = Sampler(grammar, oracle, system=system)
     window = SizeWindow(args.size, args.tolerance)
     if args.tolerance == 0.0:
         print(

@@ -85,7 +85,13 @@ class NoFiniteSingularityError(SolverError):
 
 
 class OracleMismatchError(BoltzXmlError):
-    """An oracle file was produced from a different equation system."""
+    """An oracle does not fit the equation system it is used with.
+
+    reason says how; a remedy, when given, follows it in the message."""
+
+    def __init__(self, reason, remedy=None):
+        self.reason = reason
+        super().__init__(reason if remedy is None else "%s; %s" % (reason, remedy))
 
 
 class SamplingError(BoltzXmlError):

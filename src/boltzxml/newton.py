@@ -401,9 +401,9 @@ def verify_oracle(oracle, system):
     digest = system.digest()
     if oracle.system_digest != digest:
         raise OracleMismatchError(
-            "oracle was solved for system %s... but this system is %s...; "
-            "re-run solve to refresh it"
-            % (oracle.system_digest[:12], digest[:12])
+            "oracle was solved for system %s... but this system is %s..."
+            % (oracle.system_digest[:12], digest[:12]),
+            "re-run solve to refresh it",
         )
     missing = set(system.classes) - set(oracle.values)
     if missing:

@@ -19,11 +19,12 @@ is replayed by one of two walks that make the same draws:
 
 - _walk_write writes the document's UTF-8 bytes to a sink while it is
   generated, with no event objects in between.  sample_to_sink uses it
-  when no attribute can follow content inside an element, so every start
-  tag is complete before its element's first child.
-- _walk_buffered builds the StartElement / TextContent / EndElement list.
-  It serves sample_in_window and free_sample, and sample_to_sink (through
-  serialize_stream) for grammars with late attributes.
+  for every grammar.  An element whose attributes can follow its content
+  (a late element) has its start tag held back until it ends, so the
+  bytes beneath the outermost open late element wait in one buffer; all
+  others go straight to the sink.
+- _walk_buffered builds the StartElement / TextContent / EndElement list
+  for sample_in_window and free_sample.
 
 Values come from a second random stream so the counting pass stays
 aligned with the replay.
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from io import BytesIO
 
 from . import ast
 from .datatypes import merge_registries
@@ -52,7 +55,6 @@ from .serialize import (
     TextContent,
     _esc_attr,
     _esc_text,
-    serialize_stream,
 )
 from .system import compile_grammar
 
@@ -102,6 +104,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        # random.Random seeds with |seed|, so -k would repeat k's document
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
 
 
 @dataclass
@@ -121,13 +126,17 @@ class StreamStats:
 
 
 # Op codes.  The event plan, run by the replay walks, has one op per node:
-# _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END and _DEAD.  The counting
+# _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END and _DEAD, with _LATE_ELEM,
+# _LATE_END and _LATE_ATTR in their place for late elements.  The counting
 # plan has fused ops, each ending its adds with a ceiling check:
 #   (_ADD, k, children)             add k, push children
 #   (_ADD_CHOICE, k, cps, branches) add k, draw, push a branch
 #   (_CHOICE, cps, branches, leads) draw, add the branch's lead, push it
 #   (_SEQ, log p, child) and (_DEAD,) as in the event plan
-_ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END, _DEAD, _ADD, _ADD_CHOICE = range(10)
+(
+    _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END, _DEAD, _ADD, _ADD_CHOICE,
+    _LATE_ELEM, _LATE_END, _LATE_ATTR,
+) = range(13)
 
 
 def _rev(ops):
@@ -215,7 +224,10 @@ class Sampler:
 
         Event ops per definition are (_ELEM, head, children, end, name, ns);
         head is the encoded '<name' with any xmlns, end the shared
-        (_END, b'</name>').  The counting plan fuses what it can: a run of
+        (_END, b'</name>').  A late definition, one whose element can take
+        an attribute after content, has (_LATE_ELEM, ...) with the end
+        (_LATE_END, b'</name>', head), and its attributes are _LATE_ATTR
+        ops.  The counting plan fuses what it can: a run of
         draw-free content is one add, an element's leading run joins its
         own add, as a branch's leading run joins its choice, and an element
         whose first draw is a choice becomes one _ADD_CHOICE whose branches
@@ -225,14 +237,21 @@ class Sampler:
         self._event_elem = {}
         self._count_elem = {}
         g = self.grammar
+        self.late = frozenset(
+            name for name, body in g.defines.items()
+            if self._scan_late(body.content)[2]
+        )
         for name, body in g.defines.items():
             head = "<" + body.name
             if body.ns:
                 head += ' xmlns="%s"' % _esc_attr(body.ns)
-            end = (_END, ("</%s>" % body.name).encode())
-            self._event_elem[name] = (
-                _ELEM, head.encode(), [], end, body.name, body.ns
-            )
+            head = head.encode()
+            end = ("</%s>" % body.name).encode()
+            if name in self.late:
+                op = (_LATE_ELEM, head, [], (_LATE_END, end, head))
+            else:
+                op = (_ELEM, head, [], (_END, end))
+            self._event_elem[name] = op + (body.name, body.ns)
         # counting ops are made before their children so references can
         # share them; a recursive definition refers to its own op
         pending = []
@@ -252,7 +271,10 @@ class Sampler:
             self._count_elem[name] = op
             pending.append((op, items))
         for name, body in g.defines.items():
-            self._event_elem[name][2].extend(_rev(self._compile_events(body.content)))
+            owner = body.name if name in self.late else None
+            self._event_elem[name][2].extend(
+                _rev(self._compile_events(body.content, owner))
+            )
         for op, items in pending:
             if op[0] == _ADD:
                 op[2].extend(_rev(self._count_run(items)))
@@ -268,9 +290,6 @@ class Sampler:
                 op[3].append(_rev(self._count_run(run) + rest))
         self._event_start = _rev(self._compile_events(g.start))
         self._count_start = _rev(self._count_run(self._count_items(g.start, [])))
-        self.buffered = any(
-            self._scan_late(body.content)[2] for body in g.defines.values()
-        )
 
     def _scan_late(self, p):
         """(has attributes, can emit content, attribute after content)."""
@@ -316,8 +335,9 @@ class Sampler:
             live = self._live_memo[key] = [(w, b) for w, b in branches if w > 0.0]
         return live
 
-    def _compile_events(self, p):
-        """Compile a pattern into event ops, execution order."""
+    def _compile_events(self, p, owner=None):
+        """Compile a pattern into event ops, execution order.  owner is
+        the name of the late element whose content p is, or None."""
         if isinstance(p, ast.Empty):
             return ()
         if isinstance(p, ast.NotAllowed):
@@ -331,23 +351,32 @@ class Sampler:
         if isinstance(p, ast.Value):
             return ((_LIT, p.literal, _esc_text(p.literal).encode()),)
         if isinstance(p, ast.Attribute):
-            return ((_ATTR, p.name, self._compile_value(p.content)),)
+            value = self._compile_value(p.content)
+            if owner is None:
+                return ((_ATTR, p.name, value),)
+            key = (' %s="' % p.name).encode()
+            return ((_LATE_ATTR, p.name, value, key, owner),)
         if isinstance(p, ast.Ref):
             return (self._event_elem[p.name],)
         if isinstance(p, ast.Group):
-            return self._compile_events(p.left) + self._compile_events(p.right)
+            return self._compile_events(p.left, owner) + self._compile_events(
+                p.right, owner
+            )
         if isinstance(p, ast.OneOrMore):
             ratio = self.weight(p.child)
             if ratio <= 0.0:
                 return ((_DEAD,),)
-            return ((_SEQ, math.log(ratio), _rev(self._compile_events(p.child))),)
+            child = _rev(self._compile_events(p.child, owner))
+            return ((_SEQ, math.log(ratio), child),)
         if isinstance(p, ast.Choice):
             live = self._live_branches(p)
             if not live:
                 return ((_DEAD,),)
             if len(live) == 1:
-                return self._compile_events(live[0][1])
-            branches = tuple(_rev(self._compile_events(b)) for _, b in live)
+                return self._compile_events(live[0][1], owner)
+            branches = tuple(
+                _rev(self._compile_events(b, owner)) for _, b in live
+            )
             return ((_CHOICE, _choice_cdf(live), branches),)
         raise SamplingError("unexpected pattern %s" % type(p).__name__)
 
@@ -549,17 +578,32 @@ class Sampler:
         raise SamplingError("dead value branch executed")
 
     def _walk_write(self, rng_s, rng_v, ceiling, registry, sink):
-        """Generate a document straight to a binary sink; needs no late
-        attributes.  Returns the number of bytes written.
+        """Generate a document straight to a binary sink; returns the
+        number of bytes written.
 
         tag is the element op whose start tag still lacks its '>', names
         the attribute names written into that tag.  The bytes equal
         serialize_stream's over _walk_buffered's events: '>' before an
-        element's first child or text, '/>' when it has neither.  sink.write
-        is looked up at every write because a sink may rebind it."""
+        element's first child or text, '/>' when it has neither.
+
+        A late element's start tag is complete only at its end.  From the
+        first late element to open until it ends, out is a region buffer
+        instead of the sink: late elements write their '>' or '/>',
+        content and end tag there like any other, and their attributes go
+        to attrs.  When the outermost ends, its head and attributes go to
+        the sink, then the region.  A late element opened inside another
+        gets a mark, three ints in marks: the region offset of its start
+        tag and, once it ends, the tag's span in heads.  While it is open
+        those two hold instead the mark of the inner late element around
+        it, -1 for none, and where its attributes start in attrs; cur is
+        the innermost open one's mark.  out.write is looked up at every
+        write because a sink may rebind it."""
         stack = list(self._event_start)
         tag = names = None
         size = written = 0
+        out = sink
+        cur = -1
+        region = heads = marks = attrs = None
         rnd = rng_s.random
         log = math.log
         while stack:
@@ -618,9 +662,62 @@ class Sampler:
                 if tag is not None:
                     data = b">" + data
                     tag = None
+            elif k == _LATE_ELEM:
+                size += 1
+                if size > ceiling:
+                    raise CeilingExceededError(ceiling)
+                if tag is not None:
+                    out.write(b">")
+                    written += 1
+                if out is sink:
+                    if region is None:
+                        region, heads = BytesIO(), BytesIO()
+                        marks, attrs = array("q"), bytearray()
+                    out = region
+                else:
+                    marks.extend((out.tell(), cur, len(attrs)))
+                    cur = len(marks) - 3
+                tag, names = op, None
+                stack.append(op[3])
+                if op[2]:
+                    stack.extend(op[2])
+                continue
+            elif k == _LATE_ATTR:
+                size += 1
+                if size > ceiling:
+                    raise CeilingExceededError(ceiling)
+                # a value never holds a quote, so op[3], b' name="', is
+                # found in attrs only where that attribute starts
+                if attrs.find(op[3], marks[cur + 2] if cur >= 0 else 0) >= 0:
+                    raise SamplingError(
+                        "duplicate attribute %r on element %r" % (op[1], op[4])
+                    )
+                value = _esc_attr(self._sample_value(op[2], rng_v, registry))
+                attrs += op[3] + value.encode() + b'"'
+                continue
+            elif k == _LATE_END:
+                data = op[1] if tag is None else b"/>"
+                tag = None
+                out.write(data)
+                written += len(data)
+                if cur < 0:
+                    written += _write_region(
+                        sink, op[2] + attrs, region, heads, marks
+                    )
+                    del attrs[:]
+                    out = sink
+                    continue
+                parent, start = marks[cur + 1], marks[cur + 2]
+                marks[cur + 1] = heads.tell()
+                heads.write(op[2])
+                heads.write(attrs[start:])
+                del attrs[start:]
+                marks[cur + 2] = heads.tell()
+                cur = parent
+                continue
             else:
                 raise SamplingError("dead branch executed; plan is inconsistent")
-            sink.write(data)
+            out.write(data)
             written += len(data)
         return written
 
@@ -635,7 +732,7 @@ class Sampler:
         while stack:
             op = stack.pop()
             k = op[0]
-            if k == _ELEM:
+            if k == _ELEM or k == _LATE_ELEM:
                 size += 1
                 if size > ceiling:
                     raise CeilingExceededError(ceiling)
@@ -660,11 +757,11 @@ class Sampler:
                 child = op[2]
                 for _ in range(reps):
                     stack.extend(child)
-            elif k == _END:
+            elif k == _END or k == _LATE_END:
                 slot, name, attrs, ns = open_stack.pop()
                 out[slot] = StartElement(name, tuple(attrs), ns)
                 out.append(EndElement(name))
-            elif k == _ATTR:
+            elif k == _ATTR or k == _LATE_ATTR:
                 size += 1
                 if size > ceiling:
                     raise CeilingExceededError(ceiling)
@@ -723,8 +820,10 @@ class Sampler:
     def sample_to_sink(self, config, sink, *, xml_declaration=False):
         """Like sample_in_window but writing UTF-8 bytes to a binary sink.
 
-        For grammars without late attributes the bytes go out while the
-        document is generated; otherwise its events are buffered first."""
+        The bytes go out while the document is generated.  Only the
+        subtree of an open late element waits, since its start tag is
+        complete only at its end, so memory follows the largest late
+        subtree, not the document."""
         registry = self.registry_for(config.registry)
         window = config.window
         upper = window.upper
@@ -733,14 +832,37 @@ class Sampler:
         attempt, size = self._accept_attempt(
             rng_s, window.lower, upper, config.max_attempts, sizes
         )
-        if self.buffered:
-            events, _ = self._walk_buffered(rng_s, rng_v, upper, registry)
-            written = serialize_stream(events, sink, xml_declaration=xml_declaration)
-        else:
-            written = 0
-            if xml_declaration:
-                sink.write(XML_DECLARATION)
-                written = len(XML_DECLARATION)
-            written += self._walk_write(rng_s, rng_v, upper, registry, sink)
+        written = 0
+        if xml_declaration:
+            sink.write(XML_DECLARATION)
+            written = len(XML_DECLARATION)
+        written += self._walk_write(rng_s, rng_v, upper, registry, sink)
         return StreamStats(size, attempt, written, sizes)
 
+
+def _write_region(sink, tag, region, heads, marks):
+    """Write the outermost late element's start tag, then its region with
+    each inner late element's tag put back at its offset, and empty the
+    buffers for the next region.  Returns the tags' length.  The marks are
+    in opening order, and a '>' or an end tag always lies between two
+    tags, so their offsets rise."""
+    sink.write(tag)
+    written = len(tag)
+    body = region.getvalue()
+    if marks:
+        tags = heads.getvalue()
+        written += len(tags)
+        pos = 0
+        for i in range(0, len(marks), 3):
+            at = marks[i]
+            sink.write(body[pos:at])
+            sink.write(tags[marks[i + 1]:marks[i + 2]])
+            pos = at
+        body = body[pos:]
+        heads.seek(0)
+        heads.truncate()
+        del marks[:]
+    sink.write(body)
+    region.seek(0)
+    region.truncate()
+    return written

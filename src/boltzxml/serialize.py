@@ -4,11 +4,10 @@ Documents are streams of StartElement / TextContent / EndElement events.
 serialize_stream writes a stream to a binary sink as it arrives: its state
 is one pending start tag and a depth counter, so memory use is independent
 of document size.  It serves event lists: sample_in_window and free_sample
-results, enumerated documents, and sample_to_sink for grammars whose
-attributes can follow content.  sample_to_sink on all other grammars
-writes bytes straight from the generating walk, with the same escaping
-helpers (_esc_text, _esc_attr) and the same rules, so both routes give the
-same bytes for the same document.
+results and enumerated documents.  sample_to_sink writes bytes straight
+from the generating walk instead, with the same escaping helpers
+(_esc_text, _esc_attr) and the same rules, so both routes give the same
+bytes for the same document.
 """
 
 from __future__ import annotations

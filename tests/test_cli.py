@@ -198,6 +198,29 @@ def test_digest_mismatch(workdir, tmp_path, grammar_paths, capsys):
     assert "re-run 'boltzxml solve'" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_count_below_one_is_an_input_error(workdir, tmp_path, capsys, count):
+    docs = tmp_path / "docs"
+    code = main([
+        "sample", str(workdir / "ternary.rng"), str(workdir / "ternary.oracle"),
+        "-n", "10", "--count", count, "--out", str(docs),
+    ])
+    assert code == EXIT_INPUT
+    assert "--count must be at least 1" in capsys.readouterr().err
+    assert not docs.exists()
+
+
+def test_negative_seed_is_an_input_error(workdir, tmp_path, capsys):
+    docs = tmp_path / "docs"
+    code = main([
+        "sample", str(workdir / "ternary.rng"), str(workdir / "ternary.oracle"),
+        "-n", "10", "--seed", "-2", "--count", "5", "--out", str(docs),
+    ])
+    assert code == EXIT_INPUT
+    assert "--seed must not be negative" in capsys.readouterr().err
+    assert not docs.exists()
+
+
 def test_bad_plugin_file(workdir, tmp_path, capsys):
     plugin = tmp_path / "nope.json"
     plugin.write_text("[]")

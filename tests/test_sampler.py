@@ -80,6 +80,15 @@ def test_config_validation():
         SamplerConfig(window=window, max_attempts=0)
 
 
+def test_negative_seed_is_rejected():
+    # random.Random(-k) is random.Random(k): a negative seed would repeat
+    # the document of its absolute value
+    window = SizeWindow(10, 0.1)
+    SamplerConfig(window=window, seed=0)
+    with pytest.raises(ValueError, match="seed must not be negative"):
+        SamplerConfig(window=window, seed=-2)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -296,7 +305,7 @@ def test_missing_datatype_is_reported():
 
 
 # ---------------------------------------------------------------------------
-# buffered mode for late attributes
+# late attributes: the element's subtree waits for its start tag
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +322,7 @@ def late_attr_sampler():
 
 def test_late_attribute_forces_buffering(late_attr_sampler):
     grammar, sampler = late_attr_sampler
-    assert sampler.buffered
+    assert sampler.late == {"a"}
     sample = sampler.sample_in_window(
         SamplerConfig(window=SizeWindow(3, 0.0), seed=1)
     )
@@ -333,8 +342,8 @@ def test_buffered_stream_matches_events(late_attr_sampler):
 
 
 def test_early_attributes_stream(grammars, oracles):
-    assert not Sampler(grammars["attrs"], oracles["attrs"]).buffered
-    assert not Sampler(grammars["feed"], oracles["feed"]).buffered
+    assert not Sampler(grammars["attrs"], oracles["attrs"]).late
+    assert not Sampler(grammars["feed"], oracles["feed"]).late
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +365,7 @@ def test_empty_text_value_closes_with_end_tag():
     )
     system = compile_grammar(grammar)
     sampler = Sampler(grammar, solve(system, 0.5), system=system)
-    assert not sampler.buffered
+    assert not sampler.late
     sink, stats, expected = both_routes(
         sampler,
         SamplerConfig(
@@ -398,7 +407,7 @@ def test_whitespace_in_values_survives_a_parser(late):
     body = content + attrs if late else attrs + content
     grammar = g("<start><element name='a'>%s</element></start>" % body)
     sampler = make_sampler(grammar, 0.5)
-    assert sampler.buffered == late
+    assert bool(sampler.late) == late
     value = "t\tu\r\nv\r"
     config = SamplerConfig(
         window=SizeWindow(4, 0.0), seed=0, registry={"token": lambda rng: value}
@@ -486,7 +495,7 @@ DUPLICATE = (
 
 def test_duplicate_attribute_raises_like_the_serializer():
     sampler = make_sampler(g(DUPLICATE), 0.3)
-    assert not sampler.buffered
+    assert not sampler.late
     config = SamplerConfig(window=SizeWindow(3, 0.0), seed=0)
     events = sampler.sample_in_window(config).events
     with pytest.raises(SamplingError) as by_events:
