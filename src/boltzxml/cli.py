@@ -122,6 +122,7 @@ def cmd_solve(args):
     print("x %.17g" % oracle.x)
     print("iterations %d" % oracle.iterations)
     print("residual %.3g" % oracle.residual)
+    print("newton runs %d (%s)" % (oracle.newton_runs, oracle.method or "explicit x"))
     print("solved in %.1f ms -> %s" % (elapsed * 1000.0, out))
     return EXIT_OK
 
@@ -131,6 +132,10 @@ def cmd_sample(args):
         raise ValueError("--count must be at least 1, got %d" % args.count)
     if args.seed < 0:
         raise ValueError("--seed must not be negative, got %d" % args.seed)
+    if args.max_attempts < 1:
+        raise ValueError(
+            "--max-attempts must be at least 1, got %d" % args.max_attempts
+        )
     grammar, system = _load_grammar(args.grammar)
     oracle = load_oracle(args.oracle)
     try:

@@ -4,8 +4,8 @@ newton_evaluate solves Y = Phi(x, Y) by Newton iteration from Y = 0,
 solving the dense linear system (I - J) d = Phi(Y) - Y each step with
 partial pivoting.  Below the dominant singularity rho the iteration
 converges quadratically to the combinatorial fixed point.  At or past rho
-it is classified as divergent, and that dichotomy drives the bisection in
-estimate_singularity.
+it is classified as divergent, and that dichotomy defines the bracket that
+estimate_singularity returns.
 
 Divergence is certified by a falling step.  For a well-founded system with
 nonnegative coefficients and x < rho, Newton from Y = 0 rises
@@ -21,23 +21,41 @@ correction of -0.157 appears, and an absolute threshold would misread that
 convergent point as divergent.  Past rho a run can also end with values
 above the ceiling, a singular Newton matrix, a fixed point with negative
 components, or no convergence within the iteration cap, the backstop for
-the runs in which no step falls.
+the runs in which no step falls.  Convergence is relative in the same way:
+every |d_i| < TOLERANCE * max(1, |Y_i|), then an absolute residual below
+TOLERANCE.  Near rho, I - J is nearly singular and the steps keep a
+rounding noise of order eps |Y| / (1 - lambda), lambda the Perron root of
+J; an absolute step test there never passed on some systems with values
+near 100, and called converged points divergent.
+
+The singularity is located in two stages.  Bisection over [0, 1] narrows
+it to COARSE_WIDTH.  For a grammar with a square-root singularity, Y stays
+finite at rho and the Drmota-Lalley-Woods characterisation (Flajolet &
+Sedgewick, Analytic Combinatorics, VII.6) holds there: Y = Phi(rho, Y) and
+J(rho, Y) has Perron root 1, with a nonnegative eigenvector v.  Newton on
+that augmented system in (Y, v, x), started at the coarse lower end, gives
+rho to about machine precision in a handful of steps, and one Newton run on
+each side of it confirms the final bracket.  A pole grammar (feed) has no
+finite Y at rho: its augmented iteration sends the values past the ceiling,
+and the search goes on by bisection, as it does whenever the augmented
+solve or a confirming run fails.
 
 Phi and its Jacobian are evaluated with numpy over all monomials at once,
 in the same floating-point order as a per-monomial loop (see _NumSystem),
-so the values, and with them the bisection and every oracle, are those of
-the loop bit for bit.  numpy is imported on first use, so importing the
-package, or sampling from a saved oracle, does not load it.
+so the values, and with them every oracle, are those of the loop bit for
+bit.  numpy is imported on first use, so importing the package, or
+sampling from a saved oracle, does not load it.
 
-Constants: tolerance 1e-12 on both the update and the residual, value
-ceiling 1e8, iteration cap 500, falling-step tolerance 1e-6, bisection
-over [0, 1] to a bracket width of 1e-8, automatic evaluation point
-rho_lower * (1 - 1e-7).
+Constants: tolerance 1e-12 on both the update (relative) and the residual,
+value ceiling 1e8, iteration cap 500, falling-step tolerance 1e-6, coarse
+bisection over [0, 1] to a width of 2^-8, augmented steps to a relative
+1e-10 within 15 iterations, final bracket width 1e-8, automatic evaluation
+point rho_lower * (1 - 1e-7).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DivergedError,
@@ -67,8 +85,11 @@ TOLERANCE = 1e-12
 VALUE_CEILING = 1e8
 ITERATION_CAP = 500
 FALL_TOLERANCE = 1e-6
+COARSE_WIDTH = 2.0**-8
 BRACKET_WIDTH = 1e-8
 AUTO_BACKOFF = 1e-7
+AUGMENTED_TOLERANCE = 1e-10
+AUGMENTED_CAP = 15
 
 _ORACLE_HEADER = "boltzxml-oracle 1"
 
@@ -127,6 +148,12 @@ class _NumSystem:
         width = max(map(len, phi_rows), default=0)
         self._phi_cols = self._columns(phi_rows, width)
         self._jac_cols = self._columns(jac_rows, width)
+        # numpy arrays for the augmented system
+        self._coeff_array = np.array(coeffs)
+        self._xexp_array = np.array(xexps)
+        pairs = np.array(self._pairs, dtype=np.intp).reshape(-1, 2)
+        self._pair_classes, self._pair_exps = pairs[:, 0], pairs[:, 1]
+        self._jac_i, self._jac_j = np.divmod(self._jac_cells, self.m)
 
     def _columns(self, rows, width):
         """Slot rows padded with the 1.0 slot, as a (width, len(rows)) array."""
@@ -178,6 +205,56 @@ class _NumSystem:
         J = np.bincount(self._jac_cells, weights=terms, minlength=self.m * self.m)
         return J.reshape(self.m, self.m)
 
+    def augmented(self, x, Y, v):
+        """Residual F and Jacobian A of the augmented system at z = (Y, v, x).
+
+        The equations are Y = Phi(x, Y), (I - J(x, Y)) v = 0 and sum(v) = 1.
+        A has the blocks
+
+            [ J - I   0       dPhi/dx  ]
+            [ H       J - I   dJ/dx v  ]
+            [ 0       1...1   0        ]
+
+        where H = d/de J(x, Y + e v) at e = 0, whose [i, k] entry is
+        sum_j v[j] d2Phi_i / dY[j] dY[k].  H comes from the Jacobian rows
+        by the product rule: beside each power Y[j]**e the table carries
+        its derivative along v, e * Y[j]**(e-1) * v[j], and the row
+        products carry theirs.  Rounding does not matter here, so the
+        powers are numpy's."""
+        import numpy as np
+
+        m = self.m
+        coeffs, xexps = self._coeff_array, self._xexp_array
+        cls, exps = self._pair_classes, self._pair_exps
+        cx = coeffs * x**xexps
+        dx = coeffs * xexps * x ** np.maximum(xexps - 1, 0)
+        table = np.append(Y[cls] ** exps, 1.0)
+        dtable = np.append(exps * Y[cls] ** np.maximum(exps - 1, 0) * v[cls], 0.0)
+        phi_t = np.ones(len(cx))
+        for col in self._phi_cols:
+            phi_t = phi_t * table[col]
+        jac_t = self._jac_scales
+        jac_d = np.zeros(len(jac_t))
+        for col in self._jac_cols:
+            jac_d = jac_d * table[col] + jac_t * dtable[col]
+            jac_t = jac_t * table[col]
+        cj = cx[self._jac_mons]
+        J = np.bincount(self._jac_cells, weights=cj * jac_t, minlength=m * m)
+        H = np.bincount(self._jac_cells, weights=cj * jac_d, minlength=m * m)
+        J, H = J.reshape(m, m), H.reshape(m, m)
+        Phi = np.bincount(self._eqs, weights=cx * phi_t, minlength=m)
+        A = np.zeros((2 * m + 1, 2 * m + 1))
+        A[:m, :m] = A[m:-1, m:-1] = J - np.eye(m)
+        A[:m, -1] = np.bincount(self._eqs, weights=dx * phi_t, minlength=m)
+        A[m:-1, :m] = H
+        A[m:-1, -1] = np.bincount(
+            self._jac_i, weights=dx[self._jac_mons] * jac_t * v[self._jac_j],
+            minlength=m,
+        )
+        A[-1, m:-1] = 1.0
+        F = np.concatenate([Phi - Y, J @ v - v, [v.sum() - 1.0]])
+        return F, A
+
 
 @dataclass
 class NewtonResult:
@@ -212,14 +289,16 @@ def newton_evaluate(system, x):
         except np.linalg.LinAlgError:
             raise DivergedError(x, "singular Newton matrix") from None
         Y = Y + delta
-        if not np.isfinite(Y).all() or (np.abs(Y) > VALUE_CEILING).any():
+        size = np.abs(Y)
+        if not (size <= VALUE_CEILING).all():  # also false for nan
             raise DivergedError(x, "values exceeded the ceiling %g" % VALUE_CEILING)
-        if (delta < -FALL_TOLERANCE * np.maximum(1.0, np.abs(Y))).any():
+        scale = np.maximum(1.0, size)
+        if (delta < -FALL_TOLERANCE * scale).any():
             raise DivergedError(
                 x, "Newton step fell at iteration %d, so x is at or past "
                 "the singularity" % it
             )
-        if np.max(np.abs(delta)) < TOLERANCE:
+        if (np.abs(delta) < TOLERANCE * scale).all():
             residual = float(np.max(np.abs(num.phi(bound, Y) - Y)))
             if residual >= TOLERANCE:
                 continue
@@ -235,40 +314,109 @@ def newton_evaluate(system, x):
 
 @dataclass
 class SingularityEstimate:
+    """Bracket [lower, upper] of the dominant singularity, and its trace.
+
+    rho is the augmented solution when method is "augmented", else lower.
+    newton_runs counts the calls of newton_evaluate that found it."""
+
     rho: float
     lower: float
     upper: float
+    newton_runs: int = 0
+    method: str = "bisection"
+
+
+def _augmented_rho(num, lo, hi, start):
+    """Singularity of a square-root grammar in [lo, hi], or None.
+
+    Newton on the augmented system (see _NumSystem.augmented), started at
+    x = lo from the values there and from (I - J)^-1 1, which points
+    nearly along J's Perron vector close to the singularity.  None when a
+    solve is singular, values run past the ceiling (a pole: Y has no finite
+    value at rho), the iteration does not settle within AUGMENTED_CAP steps,
+    or it settles outside [lo, hi] or off the Perron vector."""
+    import numpy as np
+
+    m = num.m
+    Y = np.array([start.values[name] for name in num.names])
+    try:
+        w = np.linalg.solve(np.eye(m) - num.jacobian(num.bind(lo), Y), np.ones(m))
+    except np.linalg.LinAlgError:
+        return None
+    z = np.concatenate([Y, w / w.sum(), [lo]])
+    for _ in range(AUGMENTED_CAP):
+        F, A = num.augmented(z[-1], z[:m], z[m:-1])
+        try:
+            step = np.linalg.solve(A, -F)
+        except np.linalg.LinAlgError:
+            return None
+        z = z + step
+        if not (np.abs(z) <= VALUE_CEILING).all():
+            return None
+        if (np.abs(step) < AUGMENTED_TOLERANCE * np.maximum(1.0, np.abs(z))).all():
+            rho = float(z[-1])
+            if lo <= rho <= hi and (z[m:-1] > -AUGMENTED_TOLERANCE).all():
+                return rho
+            return None
+    return None
 
 
 def estimate_singularity(system):
-    """Bisection estimate of the dominant singularity in [0, 1].
+    """Bracket of the dominant singularity in [0, 1].
+
+    Bisection narrows [0, 1] to COARSE_WIDTH.  For a square-root grammar
+    the augmented system then gives rho, and one Newton run on each side
+    of it, BRACKET_WIDTH apart, confirms the bracket.  When the augmented
+    solve fails (always on a pole grammar) or a confirming run disagrees,
+    bisection goes on down to BRACKET_WIDTH.
 
     Invariant: Newton converges at the lower end and diverges at the upper
     end.  Raises NoFiniteSingularityError if it converges at x = 1."""
     num = _as_num(system)
+    lo, hi, at_lo, runs = 0.0, 1.0, None, 0
 
     def converges(x):
+        nonlocal lo, hi, at_lo, runs
+        runs += 1
         try:
-            newton_evaluate(num, x)
-            return True
+            result = newton_evaluate(num, x)
         except DivergedError:
+            hi = x
             return False
+        lo, at_lo = x, result
+        return True
+
+    def bisect(width):
+        while hi - lo > width:
+            converges(0.5 * (lo + hi))
 
     if converges(1.0):
         raise NoFiniteSingularityError(1.0)
-    lo, hi = 0.0, 1.0
-    while hi - lo > BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return SingularityEstimate(rho=lo, lower=lo, upper=hi)
+    bisect(COARSE_WIDTH)
+    rho = None if at_lo is None else _augmented_rho(num, lo, hi, at_lo)
+    if rho is not None:
+        # Newton's steps at x < rho carry rounding noise of order
+        # eps |Y| / (1 - lambda), lambda the Perron root of J, which nears 1
+        # like the square root of rho - x; the diverging end is certified by
+        # a falling step of that square-root order.  So the converging end
+        # sits most of the bracket below rho and the diverging end close
+        # above it, 0.99 BRACKET_WIDTH apart.  A coarse end closer to rho
+        # than that is already probed.
+        lower = max(lo, rho - 0.9 * BRACKET_WIDTH)
+        upper = min(hi, rho + 0.09 * BRACKET_WIDTH)
+        if (lower == lo or converges(lower)) and (upper == hi or not converges(upper)):
+            return SingularityEstimate(rho, lower, upper, runs, "augmented")
+    bisect(BRACKET_WIDTH)
+    return SingularityEstimate(lo, lo, hi, runs, "bisection")
 
 
 @dataclass
 class OracleTable:
-    """Solved evaluation point: x, one value per class, and metadata."""
+    """Solved evaluation point: x, one value per class, and metadata.
+
+    newton_runs and method trace the solve (the calls of newton_evaluate,
+    and how the bracket was found, None without a search).  The oracle file
+    does not keep them, and equality ignores them."""
 
     x: float
     values: dict
@@ -277,6 +425,8 @@ class OracleTable:
     iterations: int
     residual: float
     system_digest: str
+    newton_runs: int = field(default=0, compare=False)
+    method: "str | None" = field(default=None, compare=False)
 
 
 def solve(system, x="auto"):
@@ -289,7 +439,7 @@ def solve(system, x="auto"):
     num = _NumSystem(system)
     if x == "auto":
         est = estimate_singularity(num)
-        x = est.rho * (1.0 - AUTO_BACKOFF)
+        x = est.lower * (1.0 - AUTO_BACKOFF)
         result = newton_evaluate(num, x)
     else:
         est = None
@@ -311,6 +461,8 @@ def solve(system, x="auto"):
         iterations=result.iterations,
         residual=result.residual,
         system_digest=system.digest(),
+        newton_runs=1 if est is None else est.newton_runs + 1,
+        method=None if est is None else est.method,
     )
 
 

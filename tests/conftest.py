@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-Solving a system costs ~30 Newton bisections, so grammars, compiled
-systems, and oracles are built once per session and handed out by name.
+Solving a system at x=auto costs about a dozen Newton runs (29 on the
+pole grammar feed), so grammars, compiled systems, and oracles are built
+once per session and handed out by name.
 The feed grammar is pole-type (its generating function has a simple pole,
 not a square-root branch point), so near-singular tuning produces
 astronomically large documents; its shared oracle is solved at the

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,7 @@ def test_solve_auto_prints_bracket(workdir, capsys):
     assert "singularity bracket [" in out
     assert "x 0.52913" in out
     assert "iterations" in out and "residual" in out
+    assert re.search(r"^newton runs \d+ \(augmented\)$", out, re.M), out
     oracle = load_oracle(workdir / "again.oracle")
     assert oracle.rho_lower is not None
 
@@ -75,6 +77,7 @@ def test_solve_explicit_x(workdir, capsys):
     out = capsys.readouterr().out
     assert "bracket" not in out
     assert "x 0.4" in out
+    assert "newton runs 1 (explicit x)" in out
     assert load_oracle(workdir / "at04.oracle").rho_lower is None
 
 
@@ -219,6 +222,20 @@ def test_negative_seed_is_an_input_error(workdir, tmp_path, capsys):
     assert code == EXIT_INPUT
     assert "--seed must not be negative" in capsys.readouterr().err
     assert not docs.exists()
+
+
+@pytest.mark.parametrize("attempts", ["0", "-1"])
+def test_max_attempts_below_one_leaves_no_output(workdir, tmp_path, capsys, attempts):
+    docs, stats = tmp_path / "docs", tmp_path / "stats.ndjson"
+    code = main([
+        "sample", str(workdir / "ternary.rng"), str(workdir / "ternary.oracle"),
+        "-n", "9", "-e", "0.5", "--max-attempts", attempts,
+        "--out", str(docs), "--stats", str(stats),
+    ])
+    assert code == EXIT_INPUT
+    assert "--max-attempts must be at least 1" in capsys.readouterr().err
+    assert not docs.exists()
+    assert not stats.exists()
 
 
 def test_bad_plugin_file(workdir, tmp_path, capsys):

@@ -40,8 +40,14 @@ TERNARY_RHO = 2 ** (-1.0 / 3.0) / 1.5
 ONEORMORE_RHO = (3.0 - math.sqrt(5.0)) / 2.0
 FEED_RHO = (math.sqrt(5.0) - 1.0) / 2.0
 
-# perfbench/schema.generate_schema(4, 16, 8): 29 classes, up to 4 factors a monomial
-SCHEMA = Path(__file__).parent / "data" / "schema-4-16-8.rng"
+# data/schema-S-R-L.rng is the text of perfbench/schema.generate_schema(S, R, L);
+# 4-16-8 has 29 classes and up to 4 factors a monomial, 13-80-16 has 122 classes
+DATA = Path(__file__).parent / "data"
+SCHEMA = DATA / "schema-4-16-8.rng"
+
+
+def generated_system(name):
+    return compile_grammar(parse_grammar_file(DATA / ("schema-%s.rng" % name)))
 
 
 def attrs_rho():
@@ -204,6 +210,82 @@ def test_bracket_invariant(systems):
 def test_bracket_contains_analytic_singularity(systems, name, rho):
     est = estimate_singularity(systems[name])
     assert est.lower <= rho <= est.upper, (name, est.lower, rho, est.upper)
+
+
+@pytest.mark.parametrize(
+    "name,rho",
+    [
+        ("ternary", TERNARY_RHO),
+        ("binary", 0.5),
+        ("oneormore", ONEORMORE_RHO),
+        ("attrs", attrs_rho()),
+    ],
+)
+def test_augmented_solve_finds_analytic_singularity(systems, name, rho):
+    est = estimate_singularity(systems[name])
+    assert est.method == "augmented"
+    assert abs(est.rho - rho) <= 1e-14 * rho, (name, est.rho, rho)
+
+
+def test_pole_grammar_stays_on_bisection(systems):
+    # feed's values have no finite limit at its pole, so the augmented
+    # system has no solution there and the bracket comes from bisection
+    est = estimate_singularity(systems["feed"])
+    assert est.method == "bisection"
+    assert est.upper - est.lower <= BRACKET_WIDTH
+    assert est.lower <= FEED_RHO <= est.upper
+
+
+@pytest.mark.parametrize("name", ["6-12-4", "10-3-3"])
+def test_generated_bracket_invariant(name):
+    # just below rho these systems' Newton steps keep a rounding noise near
+    # 3e-12 on values up to ~120; an absolute 1e-12 step test never passed
+    # there, so converging probes ran to the iteration cap and were called
+    # divergent, which put the bracket below the singularity
+    system = generated_system(name)
+    est = estimate_singularity(system)
+    assert est.method == "augmented"
+    assert est.upper - est.lower <= BRACKET_WIDTH
+    newton_evaluate(system, est.lower)
+    with pytest.raises(DivergedError):
+        newton_evaluate(system, est.upper)
+
+
+@pytest.mark.parametrize("name", ["4-16-8", "13-80-16"])
+def test_auto_solve_stays_within_newton_run_budget(name):
+    # a count of Newton runs stands in for a wall-clock gate: the probe at
+    # x = 1, 8 coarse bisection probes, two confirming runs and the final
+    # evaluation, where bisection to 1e-8 alone took 27 probes
+    oracle = solve(generated_system(name), "auto")
+    assert oracle.method == "augmented"
+    assert oracle.newton_runs <= 12
+
+
+@pytest.mark.parametrize("name", ["ternary", "binary"])
+def test_auto_oracle_carries_solver_trace(oracles, name):
+    assert oracles[name].method == "augmented"
+    assert oracles[name].newton_runs <= 12
+
+
+def test_augmented_jacobian_matches_finite_differences(systems):
+    rng = random.Random(3)
+    schema = compile_grammar(parse_grammar_file(SCHEMA))
+    for name, system in {**systems, "schema": schema}.items():
+        num = _NumSystem(system)
+        n = 2 * num.m + 1
+        for _ in range(5):
+            z = np.array([rng.uniform(0.1, 2.0) for _ in range(n - 1)]
+                         + [rng.uniform(0.1, 0.6)])
+            _, A = num.augmented(z[-1], z[:num.m], z[num.m:-1])
+            for k in range(n):
+                h = 1e-6 * max(1.0, abs(z[k]))
+                zp, zm = z.copy(), z.copy()
+                zp[k] += h
+                zm[k] -= h
+                Fp = num.augmented(zp[-1], zp[:num.m], zp[num.m:-1])[0]
+                Fm = num.augmented(zm[-1], zm[:num.m], zm[num.m:-1])[0]
+                fd = (Fp - Fm) / (2.0 * h)
+                assert np.allclose(A[:, k], fd, rtol=1e-6, atol=1e-6), (name, k)
 
 
 def test_no_finite_singularity():
