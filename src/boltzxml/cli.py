@@ -148,6 +148,7 @@ def cmd_sample(args):
 
     overrides = load_value_table(args.datatype_plugin) if args.datatype_plugin else None
     window = SizeWindow(args.size, args.tolerance)
+    sampler.check_window(window)
     if args.tolerance == 0.0:
         print(
             "warning: exact-size sampling (tolerance 0) has quadratic "
@@ -201,6 +202,8 @@ def cmd_sample(args):
                     "status": "ok",
                     "attempts": stats.attempts,
                     "size": stats.size,
+                    "countMillis": round(stats.count_seconds * 1000.0, 3),
+                    "writeMillis": round(stats.write_seconds * 1000.0, 3),
                 }
             if stats_fh:
                 millis = (time.perf_counter() - started) * 1000.0

@@ -9,13 +9,21 @@ recurses, an attribute contributes size 1.  Conditioned on total size,
 every document of that size is equally likely.
 
 Size control is rejection in a window [n(1-eps), n(1+eps)]: a cheap
-counting pass draws only structure and aborts early past the upper bound.
-It runs its own plan of fused ops, about half as many per node as the
-event plan, which add the size of draw-free content in one step and
-join an element to its first choice; each makes the same draws in the
-same order and checks the ceiling before its next draw.  On acceptance
-the structure stream is rewound to a checkpoint and the accepted attempt
-is replayed by one of two walks that make the same draws:
+counting pass draws only structure and aborts as soon as no document can
+fit under the upper bound.  Its plan holds only the draws, choices and
+repetitions; draw-free content has no op, its size being counted as part
+of the smallest size of the pattern around it.  The pass tracks the
+committed size, the size drawn so far plus the smallest size of every op
+still pending, and aborts once that passes the upper bound (the early
+abort of ceiled rejection, Duchon, Flajolet, Louchard & Schaeffer 2004,
+tightened as in anticipated rejection, Bodini, Lumbroso & Rolin 2015).
+A finished pass makes the replay's draws; an aborted one makes a prefix
+of the draws of a replay that would pass the bound, so the accepted
+documents keep their law.  Aborting on the committed size rather than on
+the drawn size leaves the stream at an earlier point after an abort, so
+it changed the accepted attempt, and the bytes, of most seeds.  On
+acceptance the structure stream is rewound to a checkpoint and the
+accepted attempt is replayed by one of two walks that make the same draws:
 
 - _walk_write writes the document's UTF-8 bytes to a sink while it is
   generated, with no event objects in between.  sample_to_sink uses it
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -115,6 +124,7 @@ class WindowSample:
     size: int
     attempts: int
     sizes: list = field(repr=False)  # per-attempt sizes, -1 for early aborts
+    count_seconds: float  # time spent in the counting pass
 
 
 @dataclass
@@ -123,39 +133,30 @@ class StreamStats:
     attempts: int
     bytes_written: int
     sizes: list = field(repr=False)
+    count_seconds: float  # time spent in the counting pass
+    write_seconds: float  # time spent generating and writing the bytes
 
 
 # Op codes.  The event plan, run by the replay walks, has one op per node:
 # _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END and _DEAD, with _LATE_ELEM,
 # _LATE_END and _LATE_ATTR in their place for late elements.  The counting
-# plan has fused ops, each ending its adds with a ceiling check:
-#   (_ADD, k, children)             add k, push children
-#   (_ADD_CHOICE, k, cps, branches) add k, draw, push a branch
-#   (_CHOICE, cps, branches, leads) draw, add the branch's lead, push it
-#   (_SEQ, log p, child) and (_DEAD,) as in the event plan
+# plan has only the ops that draw; each op's smallest size is counted when
+# it is pushed, and what a draw commits beyond it is added after the draw:
+#   (_CHOICE2, p0, excess0, branch0, excess1, branch1)  two live branches
+#   (_CHOICE, cps, branches, excesses)                  three or more
+#   (_SEQ, log p, child, smallest size of child)
+#   (_DEAD,)
+# _CHOICE2 decides with one compare, u < p0, where _CHOICE scans its CDF.
+# Most choices have two live branches (optional, zeroOrMore, recursion or
+# leaf), and the counting walk is mostly choices, so it pays for itself.
 (
-    _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END, _DEAD, _ADD, _ADD_CHOICE,
+    _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END, _DEAD, _CHOICE2,
     _LATE_ELEM, _LATE_END, _LATE_ATTR,
-) = range(13)
+) = range(12)
 
 
 def _rev(ops):
     return tuple(reversed(ops))
-
-
-def _push(items, item):
-    """Append a counting item, summing it into a fixed size before it."""
-    if isinstance(item, int) and items and isinstance(items[-1], int):
-        items[-1] += item
-    else:
-        items.append(item)
-
-
-def _split_lead(items):
-    """(leading fixed size, the items after it)."""
-    if items and isinstance(items[0], int):
-        return items[0], items[1:]
-    return 0, items
 
 
 def _choice_cdf(live):
@@ -227,15 +228,21 @@ class Sampler:
         (_END, b'</name>').  A late definition, one whose element can take
         an attribute after content, has (_LATE_ELEM, ...) with the end
         (_LATE_END, b'</name>', head), and its attributes are _LATE_ATTR
-        ops.  The counting plan fuses what it can: a run of
-        draw-free content is one add, an element's leading run joins its
-        own add, as a branch's leading run joins its choice, and an element
-        whose first draw is a choice becomes one _ADD_CHOICE whose branches
-        go on with the rest of its content.  Its ops run in the order of
-        the event ops they stand for, so they make the same draws."""
-        self._fixed = {}
+        ops.
+
+        The counting plan holds only draws: a choice, a repetition or a
+        dead end.  Everything else is counted up front, as part of the
+        smallest size of the pattern around it, so a reference is replaced
+        by its definition's draws and a draw-free element has no op at
+        all.  The walk counts an op's smallest size when it pushes the op;
+        after its draw, a choice adds its branch's excess over the
+        smallest branch and a repetition of reps adds (reps - 1) times its
+        child's smallest size, and the walk aborts once that committed
+        size passes the ceiling.  The ops run in the order of the event
+        ops' draws, so a walk that ends makes the same draws; one that
+        aborts stops earlier than the replay would, which changed the
+        accepted attempt of most seeds when this rule came in."""
         self._event_elem = {}
-        self._count_elem = {}
         g = self.grammar
         self.late = frozenset(
             name for name, body in g.defines.items()
@@ -252,44 +259,22 @@ class Sampler:
             else:
                 op = (_ELEM, head, [], (_END, end))
             self._event_elem[name] = op + (body.name, body.ns)
-        # counting ops are made before their children so references can
-        # share them; a recursive definition refers to its own op
-        pending = []
-        for name, body in g.defines.items():
-            if self._fixed_size(name) is not None:
-                continue  # every reference adds its size instead
-            lead, items = _split_lead(self._count_items(body.content, []))
-            if (
-                items
-                and isinstance(items[0], ast.Choice)
-                and self._live_branches(items[0])
-            ):
-                cps = _choice_cdf(self._live_branches(items[0]))
-                op = (_ADD_CHOICE, 1 + lead, cps, [])
-            else:
-                op = (_ADD, 1 + lead, [])
-            self._count_elem[name] = op
-            pending.append((op, items))
         for name, body in g.defines.items():
             owner = body.name if name in self.late else None
             self._event_elem[name][2].extend(
                 _rev(self._compile_events(body.content, owner))
             )
-        for op, items in pending:
-            if op[0] == _ADD:
-                op[2].extend(_rev(self._count_run(items)))
-                continue
-            # the element's first draw is this choice; each branch goes on
-            # with the rest of the element's content
-            rest_lead, rest = _split_lead(items[1:])
-            rest = self._count_run(rest)
-            for _, b in self._live_branches(items[0]):
-                run = self._count_items(b, [])
-                if rest_lead:
-                    _push(run, rest_lead)
-                op[3].append(_rev(self._count_run(run) + rest))
         self._event_start = _rev(self._compile_events(g.start))
-        self._count_start = _rev(self._count_run(self._count_items(g.start, [])))
+        self._min_sizes()
+        # a choice's branches and a repetition's child are compiled after
+        # the op that holds them, so a recursive definition can refer to
+        # its own ops
+        self._count_defs = {}
+        todo = []
+        self._count_start = _rev(self._count_ops(g.start, [], todo))
+        while todo:
+            ops, p = todo.pop()
+            ops.extend(_rev(self._count_ops(p, [], todo)))
 
     def _scan_late(self, p):
         """(has attributes, can emit content, attribute after content)."""
@@ -380,61 +365,128 @@ class Sampler:
             return ((_CHOICE, _choice_cdf(live), branches),)
         raise SamplingError("unexpected pattern %s" % type(p).__name__)
 
-    def _fixed_size(self, name):
-        """Size a definition always adds with no structure draw, or None;
-        memoized per definition.  A reference met while its own definition
-        is being sized lies on a draw-free cycle, which never ends: None."""
-        memo = self._fixed
-        if name not in memo:
-            memo[name] = None
-            items = self._count_items(self.grammar.defines[name].content, [])
-            if all(isinstance(item, int) for item in items):
-                memo[name] = 1 + sum(items)
-        return memo[name]
+    def _min_sizes(self):
+        """Smallest sizes: min_size for the start pattern, _mins for each
+        definition it reaches and _min_memo for each node.
 
-    def _count_items(self, p, out):
-        """Append a pattern as the counting walk sees it, in execution
-        order: the sizes of its draw-free runs (ints, adjacent ones summed)
-        and the nodes that draw or fail.  Returns out."""
-        if isinstance(p, ast.Group):
-            self._count_items(p.left, out)
-            self._count_items(p.right, out)
-        elif isinstance(p, ast.Ref):
-            k = self._fixed_size(p.name)
-            if k is None:
-                out.append(p)
+        A definition's smallest size is the least fixpoint of 1 + the
+        smallest size of its content.  The first pass sizes definitions
+        as references reach them, children first; a reference met while
+        its own definition is being sized reads infinity.  If any did,
+        rounds over the definitions in the order they were finished lower
+        the sizes until none moves.  Each round settles at least the
+        unsettled definition with the smallest size, whose smallest
+        document uses only smaller ones, and the last round leaves every
+        node's final size in _min_memo."""
+        start = self.grammar.start
+        self._mins = {}
+        self._min_memo = {}
+        self._min_order = []
+        self._provisional = False
+        self.min_size = self._min_of(start)
+        if not self._provisional:
+            return
+        defines = self.grammar.defines
+        mins = self._mins
+        moved = True
+        while moved:
+            moved = False
+            for name in self._min_order:
+                m = 1 + self._min_of(defines[name].content)
+                if m < mins[name]:
+                    mins[name] = m
+                    moved = True
+        self.min_size = self._min_of(start)
+
+    def _min_of(self, p):
+        """Smallest size of a pattern, counting only branches that can be
+        drawn; infinite for a dead pattern.  Memoized into _min_memo."""
+        t = type(p)
+        if t is ast.Group:
+            m = self._min_of(p.left) + self._min_of(p.right)
+        elif t is ast.Ref:
+            m = self._mins.get(p.name)
+            if m is None:
+                name = p.name
+                self._mins[name] = math.inf  # being sized
+                content = self.grammar.defines[name].content
+                m = self._mins[name] = 1 + self._min_of(content)
+                self._min_order.append(name)
+            elif m == math.inf:
+                self._provisional = True
+        elif t is ast.Choice:
+            m = math.inf
+            for _, b in self._live_branches(p):
+                v = self._min_of(b)
+                if v < m:
+                    m = v
+        elif t is ast.Attribute:
+            m = 1  # its value comes from the value stream
+        elif t is ast.OneOrMore:
+            m = self._min_of(p.child) if self.weight(p.child) > 0.0 else math.inf
+        elif t is ast.NotAllowed:
+            m = math.inf
+        else:
+            m = 0  # empty, text and values draw from the value stream
+        self._min_memo[id(p)] = m
+        return m
+
+    def _count_ops(self, p, out, todo):
+        """Append a pattern's counting ops to out, in execution order, and
+        return out.  The op of a choice or a repetition gets empty lists
+        for its branches or child; each goes on todo with its pattern, to
+        be compiled into it."""
+        t = type(p)
+        if t is ast.Group:
+            self._count_ops(p.left, out, todo)
+            self._count_ops(p.right, out, todo)
+        elif t is ast.Ref:
+            ops = self._count_defs.get(p.name)
+            if ops is None:
+                # a draw-free cycle never ends, so its size is infinite
+                if self._mins[p.name] == math.inf:
+                    ops = ((_DEAD,),)
+                else:
+                    content = self.grammar.defines[p.name].content
+                    ops = self._count_ops(content, [], todo)
+                self._count_defs[p.name] = ops
+            out.extend(ops)
+        elif t is ast.Choice:
+            live = self._live_branches(p)
+            if len(live) == 1:
+                return self._count_ops(live[0][1], out, todo)
+            if not live:
+                out.append((_DEAD,))
+                return out
+            memo = self._min_memo
+            low = memo[id(p)]
+            excess, branches = [], []
+            for _, b in live:
+                excess.append(memo[id(b)] - low)
+                branches.append([])
+                todo.append((branches[-1], b))
+            cps = _choice_cdf(live)
+            if len(live) == 2:
+                out.append((
+                    _CHOICE2, cps[0], excess[0], branches[0], excess[1], branches[1]
+                ))
             else:
-                _push(out, k)
-        elif isinstance(p, ast.Attribute):
-            _push(out, 1)  # its value comes from the value stream
-        elif isinstance(p, ast.Choice) and len(self._live_branches(p)) == 1:
-            self._count_items(self._live_branches(p)[0][1], out)
-        elif not isinstance(p, (ast.Empty, ast.Text, ast.Data, ast.Value)):
-            out.append(p)
-        return out
-
-    def _count_run(self, items):
-        """Counting ops, in execution order, for _count_items' output."""
-        ops = []
-        for p in items:
-            if isinstance(p, int):
-                ops.append((_ADD, p, ()))
-            elif isinstance(p, ast.Ref):
-                ops.append(self._count_elem[p.name])
-            elif isinstance(p, ast.OneOrMore) and self.weight(p.child) > 0.0:
-                child = _rev(self._count_run(self._count_items(p.child, [])))
-                ops.append((_SEQ, math.log(self.weight(p.child)), child))
-            elif isinstance(p, ast.Choice) and self._live_branches(p):
-                # a branch's leading draw-free run joins the choice
-                live = self._live_branches(p)
-                leads, runs = zip(
-                    *(_split_lead(self._count_items(b, [])) for _, b in live)
+                out.append((_CHOICE, cps, tuple(branches), tuple(excess)))
+        elif t is ast.OneOrMore:
+            ratio = self.weight(p.child)
+            if ratio <= 0.0:
+                out.append((_DEAD,))
+            else:
+                child = []
+                todo.append((child, p.child))
+                out.append(
+                    (_SEQ, math.log(ratio), child, self._min_memo[id(p.child)])
                 )
-                branches = tuple(_rev(self._count_run(run)) for run in runs)
-                ops.append((_CHOICE, _choice_cdf(live), branches, leads))
-            else:
-                ops.append((_DEAD,))
-        return ops
+        elif t is ast.NotAllowed:
+            out.append((_DEAD,))
+        # anything else makes no draw: its size is in the smallest size
+        # of the pattern around it
+        return out
 
     def _compile_value(self, p):
         if isinstance(p, ast.Text):
@@ -472,28 +524,49 @@ class Sampler:
     def _count_walk(self, rng, ceiling):
         """Structure-only generation pass; returns size or -1 on abort.
 
-        It makes the replay walks' structure draws in the same order and
-        checks the ceiling after every add, before the next draw, so it
-        aborts before the same draw they would."""
+        size is the committed size: the size drawn so far plus the
+        smallest size of every op still pending.  The walk aborts as soon
+        as it passes the ceiling, since no document from there fits.  A
+        walk that ends makes the replay walks' structure draws in the
+        same order and returns the same size; an aborted one has made a
+        prefix of the draws after which they raise CeilingExceededError."""
+        size = self.min_size
+        if size > ceiling:
+            return -1
         stack = list(self._count_start)
-        size = 0
         rnd = rng.random
         log = math.log
         while stack:
             op = stack.pop()
             k = op[0]
-            if k == _ADD_CHOICE:
-                size += op[1]
-                if size > ceiling:
-                    return -1
-                u = rnd()
-                cps = op[2]
-                i = 0
-                while u >= cps[i]:
-                    i += 1
-                branch = op[3][i]
+            if k == _CHOICE2:
+                if rnd() < op[1]:
+                    if op[2]:
+                        size += op[2]
+                        if size > ceiling:
+                            return -1
+                    branch = op[3]
+                else:
+                    if op[4]:
+                        size += op[4]
+                        if size > ceiling:
+                            return -1
+                    branch = op[5]
                 if branch:
                     stack.extend(branch)
+            elif k == _SEQ:
+                # geometric count from one uniform; 1-u avoids log(0)
+                reps = 1 + int(log(1.0 - rnd()) / op[1])
+                if reps > 1:
+                    size += (reps - 1) * op[3]
+                    if size > ceiling:
+                        return -1
+                child = op[2]
+                if child:
+                    # one extend per item: child * reps would be a second
+                    # copy of the items, as large as the stack's growth
+                    for _ in range(reps):
+                        stack.extend(child)
             elif k == _CHOICE:
                 u = rnd()
                 cps = op[1]
@@ -507,20 +580,6 @@ class Sampler:
                 branch = op[2][i]
                 if branch:
                     stack.extend(branch)
-            elif k == _ADD:
-                size += op[1]
-                if size > ceiling:
-                    return -1
-                if op[2]:
-                    stack.extend(op[2])
-            elif k == _SEQ:
-                # geometric count from one uniform; 1-u avoids log(0)
-                reps = 1 + int(log(1.0 - rnd()) / op[1])
-                if size + reps > ceiling:
-                    return -1
-                child = op[2]
-                for _ in range(reps):
-                    stack.extend(child)
             else:
                 raise SamplingError("dead branch executed; plan is inconsistent")
         return size
@@ -799,23 +858,36 @@ class Sampler:
         rng_v = random.Random(master.getrandbits(64))
         return rng_s, rng_v
 
+    def check_window(self, window):
+        """Raise SamplingError when no document fits the window, that is
+        when its upper bound is below the smallest document size."""
+        if window.upper < self.min_size:
+            raise SamplingError(
+                "no document fits the window: its upper bound %d is below "
+                "the smallest document size %d" % (window.upper, self.min_size)
+            )
+
     def sample_in_window(self, config):
         """Rejection-sample one document whose size lands in the window.
 
         Each attempt runs the counting pass only, aborting as soon as the
-        running size passes the upper bound; an accepted attempt rewinds
-        the structure stream and replays it to build the events.  Raises
+        document can no longer fit under the upper bound; an accepted
+        attempt rewinds the structure stream and replays it to build the
+        events.  Raises SamplingError if no document fits the window and
         ExhaustedError with the observed size histogram if the budget runs
         out."""
         registry = self.registry_for(config.registry)
         window = config.window
+        self.check_window(window)
         rng_s, rng_v = self._streams(config)
         sizes = []
+        started = time.perf_counter()
         attempt, size = self._accept_attempt(
             rng_s, window.lower, window.upper, config.max_attempts, sizes
         )
+        counted = time.perf_counter() - started
         events, _ = self._walk_buffered(rng_s, rng_v, window.upper, registry)
-        return WindowSample(events, size, attempt, sizes)
+        return WindowSample(events, size, attempt, sizes, counted)
 
     def sample_to_sink(self, config, sink, *, xml_declaration=False):
         """Like sample_in_window but writing UTF-8 bytes to a binary sink.
@@ -826,18 +898,24 @@ class Sampler:
         subtree, not the document."""
         registry = self.registry_for(config.registry)
         window = config.window
+        self.check_window(window)
         upper = window.upper
         rng_s, rng_v = self._streams(config)
         sizes = []
+        started = time.perf_counter()
         attempt, size = self._accept_attempt(
             rng_s, window.lower, upper, config.max_attempts, sizes
         )
+        counted = time.perf_counter()
         written = 0
         if xml_declaration:
             sink.write(XML_DECLARATION)
             written = len(XML_DECLARATION)
         written += self._walk_write(rng_s, rng_v, upper, registry, sink)
-        return StreamStats(size, attempt, written, sizes)
+        return StreamStats(
+            size, attempt, written, sizes,
+            counted - started, time.perf_counter() - counted,
+        )
 
 
 def _write_region(sink, tag, region, heads, marks):

@@ -350,8 +350,10 @@ def test_06_newton_properties(systems, capsys):
 # ---------------------------------------------------------------------------
 # 7. Streaming serialization of a million-element document.
 
-STREAM_WINDOW = SizeWindow(1_000_000, 0.2)
-STREAM_SEED = 11  # accepts at attempt 394 with 1,097,515 elements
+# bounds [1_001_000, 1_199_000]: the document has a million elements
+# whichever attempt the seed accepts (seed 11: attempt 9358, 1,137,793)
+STREAM_WINDOW = SizeWindow(1_100_000, 0.09)
+STREAM_SEED = 11
 SMALL_WINDOW = SizeWindow(10_000, 0.2)
 SMALL_SEED = 3
 SERIALIZER_BUDGET = 64 * 1024  # bytes of extra peak beyond the counting walk
@@ -439,6 +441,9 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
 # 8. The command line is reproducible byte for byte.
 
 
+TIMINGS = {"millis", "countMillis", "writeMillis"}
+
+
 def test_08_cli_determinism(tmp_path, capsys):
     with _criterion(8, "cli determinism", capsys) as out:
         source = Path(bundled_grammar_path("ternary")).read_bytes()
@@ -485,17 +490,17 @@ def test_08_cli_determinism(tmp_path, capsys):
             lines = (root / "stats.ndjson").read_text().splitlines()
             records = [json.loads(line) for line in lines]
             assert all(
-                set(r) == {"docIndex", "status", "attempts", "size", "seed", "millis"}
+                set(r) == {"docIndex", "status", "attempts", "size", "seed"} | TIMINGS
                 and r["status"] == "ok"
                 for r in records
             )
             # wall-clock milliseconds legitimately differ between runs
             stats_pair.append(
-                [{k: v for k, v in r.items() if k != "millis"} for r in records]
+                [{k: v for k, v in r.items() if k not in TIMINGS} for r in records]
             )
         ok_stats = stats_pair[0] == stats_pair[1] and len(stats_pair[0]) == 3
         out["ok"] = all(identical) and ok_stats
         out["detail"] = (
             "system, oracle, and 3 documents byte-identical across two runs; "
-            "stats rows identical apart from the millis timing field"
+            "stats rows identical apart from the timing fields"
         )

@@ -106,9 +106,11 @@ def test_sample_to_directory_with_stats(workdir, tmp_path, capsys):
     assert len(records) == 3
     for index, record in enumerate(records):
         assert set(record) == {
-            "docIndex", "status", "attempts", "size", "seed", "millis"
+            "docIndex", "status", "attempts", "size", "seed", "millis",
+            "countMillis", "writeMillis",
         }
         assert record["status"] == "ok"
+        assert 0.0 <= record["countMillis"] + record["writeMillis"] <= record["millis"]
         assert record["docIndex"] == index
         assert record["seed"] == 7 + index
         assert 20 <= record["size"] <= 30
@@ -234,6 +236,28 @@ def test_max_attempts_below_one_leaves_no_output(workdir, tmp_path, capsys, atte
     ])
     assert code == EXIT_INPUT
     assert "--max-attempts must be at least 1" in capsys.readouterr().err
+    assert not docs.exists()
+    assert not stats.exists()
+
+
+def test_window_below_smallest_document_leaves_no_output(
+    grammar_paths, tmp_path, capsys
+):
+    # a feed document has at least 6 nodes: rss, its version, channel and
+    # channel's title, link and description
+    grammar = tmp_path / "feed.rng"
+    grammar.write_bytes(grammar_paths["feed"].read_bytes())
+    assert main(["compile", str(grammar)]) == EXIT_OK
+    assert main(["solve", str(tmp_path / "feed.gfs"), "--x", "0.55"]) == EXIT_OK
+    capsys.readouterr()
+    docs, stats = tmp_path / "docs", tmp_path / "stats.ndjson"
+    code = main([
+        "sample", str(grammar), str(tmp_path / "feed.oracle"),
+        "-n", "3", "-e", "0", "--out", str(docs), "--stats", str(stats),
+    ])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "upper bound 3" in err and "smallest document size 6" in err
     assert not docs.exists()
     assert not stats.exists()
 

@@ -1,13 +1,16 @@
-"""The fused counting plan against the event plan.
+"""The counting plan against the event plan.
 
-_count_walk runs fused ops (a run of draw-free sizes in one add, an
-element's leading draw-free content in its own add, a branch's leading
-draw-free content in its choice, an element whose first draw is a choice
-in one op), so it pops far fewer ops than _walk_buffered.  It must still return the size _walk_buffered reaches, -1
-exactly where _walk_buffered raises CeilingExceededError, and leave the
-structure stream in the same state: the same draws in the same order, and
-an abort before the same draw."""
+_count_walk runs a plan of draws only: a choice, a repetition or a dead
+end.  Draw-free content (attributes, and elements with no choice or
+repetition below them) has no op; its size is counted up front, as part
+of the smallest size of the pattern around it.  The walk tracks its
+committed size, the size drawn so far plus the smallest size of every op
+still pending, and aborts once that passes the ceiling.  It must return
+the size _walk_buffered reaches and leave the structure stream in the
+same state when it ends, and -1 exactly where _walk_buffered raises
+CeilingExceededError, after a prefix of _walk_buffered's draws."""
 
+import math
 import random
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from boltzxml import (
     parse_grammar_file,
     solve,
 )
-from boltzxml.sampler import _ADD, _ADD_CHOICE, _CHOICE
+from boltzxml.sampler import _CHOICE, _CHOICE2, _SEQ
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 DATA = Path(__file__).parent / "data"
@@ -32,7 +35,7 @@ CEILINGS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200)
 
 LEAF = '<define name="leaf"><element name="leaf"><text/></element></define>'
 
-# one grammar per fused form, each with the x it is sampled at
+# one grammar per plan form, each with the x it is sampled at
 INLINE = {
     # a leaf with attributes, repeated: constant runs inside a repetition
     "leaf-attributes": (
@@ -82,6 +85,14 @@ INLINE = {
         '<ref name="leaf"/></element></define>' + LEAF,
         0.6,
     ),
+    # a choice of three live branches, which keeps the CDF scan
+    "three-way": (
+        '<start><ref name="n"/></start>'
+        '<define name="n"><element name="n"><choice><empty/>'
+        '<ref name="n"/><group><ref name="n"/><ref name="n"/>'
+        "</group></choice></element></define>",
+        "auto",
+    ),
     # a notAllowed branch next to live ones
     "not-allowed-branch": (
         '<start><ref name="n"/></start>'
@@ -112,6 +123,16 @@ def _sampler(name):
     return Sampler(grammar, solve(system, x), system=system)
 
 
+class CountingRandom(random.Random):
+    """A generator that counts its structure draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
 def _replay_size(sampler, rng, ceiling, registry):
     try:
         return sampler._walk_buffered(rng, random.Random(0), ceiling, registry)[1]
@@ -127,31 +148,83 @@ def test_counting_plan_matches_event_plan(name):
     sizes = set()
     for seed in range(SEEDS):
         for ceiling in CEILINGS:
-            rng_c = random.Random(seed)
-            rng_e = random.Random(seed)
+            rng_c = CountingRandom(seed)
+            rng_e = CountingRandom(seed)
             counted = sampler._count_walk(rng_c, ceiling)
             replayed = _replay_size(sampler, rng_e, ceiling, registry)
             sizes.add(counted)
-            if counted != replayed or rng_c.getstate() != rng_e.getstate():
+            if counted != replayed:
+                same = False
+            elif counted >= 0:
+                # a finished walk: the same draws, to the generator state
+                same = rng_c.getstate() == rng_e.getstate()
+            else:
+                # both streams come from one seed, so an aborted walk's
+                # draws are a prefix of the replay's when it made no more
+                same = rng_c.draws <= rng_e.draws
+            if not same:
                 mismatches.append((seed, ceiling, counted, replayed))
     assert not mismatches, mismatches[:5]
     # both outcomes occur, so aborts and completed walks are both compared
     assert -1 in sizes and len(sizes) > 2
 
 
-def test_fused_forms_are_built():
-    # ternary's element is one op: add 1, check, choose the children
-    ternary = _sampler("ternary")
-    assert ternary._count_elem["t"][:2] == (_ADD_CHOICE, 1)
+def test_repetition_past_the_ceiling_aborts_after_its_draw():
     feed = _sampler("feed")
-    # channel's title, link and description join its own add, before
-    # the choice of its items; a draw-free element gets no op of its own
-    assert feed._count_elem["channel"][:2] == (_ADD_CHOICE, 4)
-    assert "title" not in feed._count_elem
-    # an item adds itself and its title, then chooses a link; either
-    # branch goes on with the pubDate choice, which adds 1 for the
-    # pubDate branch itself (stacks run from their last op)
-    kind, k, _, branches = feed._count_elem["item"]
-    assert (kind, k) == (_ADD_CHOICE, 2)
-    assert [[op[0] for op in b] for b in branches] == [[_CHOICE], [_CHOICE, _ADD]]
-    assert branches[0][0][3] == (0, 1)
+    registry = feed.registry_for()
+    # rss, its version, channel and channel's title, link and description
+    assert feed.min_size == 6
+    # the walk's one op is the choice of channel's zeroOrMore items
+    (choice,) = feed._count_start
+    assert choice[0] == _CHOICE2
+    (repeat,) = choice[3] or choice[5]
+    assert repeat[0] == _SEQ and repeat[3] == 2  # an item and its title
+    ceiling = 12
+    early = 0
+    for seed in range(SEEDS):
+        probe = random.Random(seed)
+        if (probe.random() < choice[1]) != (choice[3] == [repeat]):
+            continue  # no items
+        reps = 1 + int(math.log(1.0 - probe.random()) / repeat[1])
+        if feed.min_size + 2 * reps <= ceiling:
+            continue
+        rng_c = CountingRandom(seed)
+        rng_e = CountingRandom(seed)
+        assert feed._count_walk(rng_c, ceiling) == -1
+        assert rng_c.draws == 2
+        assert _replay_size(feed, rng_e, ceiling, registry) == -1
+        if feed.min_size + reps <= ceiling:
+            # the replay counts one per item here, so it draws on
+            assert rng_e.draws > 2
+            early += 1
+    assert early > 40
+
+
+def test_fused_forms_are_built():
+    # a reference is fused into its definition's draws.  ternary: one
+    # two-way choice; its second branch is three references to t, each
+    # replaced by t's own ops, so by this very op
+    ternary = _sampler("ternary")
+    assert ternary.min_size == 1
+    (op,) = ternary._count_start
+    kind, p0, excess0, branch0, excess1, branch1 = op
+    assert kind == _CHOICE2 and 0.0 < p0 < 1.0
+    assert (excess0, branch0, excess1) == (0, [], 3)
+    assert len(branch1) == 3 and all(b is op for b in branch1)
+    # feed: an item's title has no op; the item draws its optional link,
+    # then its optional pubDate, each committing 1 more when present
+    # (stacks run from their last op)
+    feed = _sampler("feed")
+    (choice,) = feed._count_start
+    (repeat,) = choice[3] or choice[5]
+    item = repeat[2]
+    assert [op[0] for op in item] == [_CHOICE2, _CHOICE2]
+    assert all(sorted((op[2], op[4])) == [0, 1] for op in item)
+    assert all(not op[3] and not op[5] for op in item)
+    # three live branches keep the CDF scan, with each branch's excess
+    # over the smallest; a notAllowed branch is never drawn, so no op
+    (three,) = _sampler("three-way")._count_start
+    assert three[0] == _CHOICE and three[3] == (0, 1, 2)
+    assert len(three[1]) == len(three[2]) == 3
+    (two,) = _sampler("not-allowed-branch")._count_start
+    assert two[0] == _CHOICE2

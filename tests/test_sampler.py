@@ -4,6 +4,7 @@ two-pass replay machinery, and the walk that writes bytes to a sink."""
 import io
 import random
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from boltzxml import (
     events_to_bytes,
     matches,
     parse_grammar,
+    parse_grammar_file,
     serialize_stream,
     skeleton_key,
     solve,
@@ -125,6 +127,45 @@ def test_window_sample_fields(grammars, oracles):
     # the serialized event stream has exactly `size` element starts
     n_elems = sum(1 for e in sample.events if isinstance(e, StartElement))
     assert n_elems == sample.size  # ternary has no attributes
+
+
+def test_phase_timings_are_reported(grammars, oracles):
+    sampler = Sampler(grammars["ternary"], oracles["ternary"])
+    config = SamplerConfig(window=SizeWindow(25, 0.2), seed=5)
+    assert sampler.sample_in_window(config).count_seconds >= 0.0
+    stats = sampler.sample_to_sink(config, io.BytesIO())
+    assert stats.count_seconds >= 0.0 and stats.write_seconds >= 0.0
+
+
+def test_min_size_is_the_first_nonzero_count(grammars, systems, oracles):
+    cases = [(grammars[name], systems[name], oracles[name]) for name in grammars]
+    schema = parse_grammar_file(Path(__file__).parent / "data" / "schema-4-16-8.rng")
+    system = compile_grammar(schema)
+    cases.append((schema, system, solve(system, "auto")))
+    for grammar, system, oracle in cases:
+        sampler = Sampler(grammar, oracle, system=system)
+        series = count_coefficients(system, 40).series()
+        assert sampler.min_size == next(n for n, c in enumerate(series) if c)
+
+
+@pytest.mark.parametrize("method", ["sample_in_window", "sample_to_sink"])
+def test_window_below_min_size_fails_fast(grammars, oracles, method):
+    # a feed document has at least 6 nodes
+    sampler = Sampler(grammars["feed"], oracles["feed"])
+    assert sampler.min_size == 6
+    sample = getattr(sampler, method)
+
+    def run(window):
+        config = SamplerConfig(window=window, seed=0)
+        if method == "sample_to_sink":
+            return sample(config, io.BytesIO())
+        return sample(config)
+
+    with pytest.raises(SamplingError, match="upper bound 5 .* size 6") as info:
+        run(SizeWindow(5, 0.1))
+    assert not isinstance(info.value, ExhaustedError)
+    # the smallest documents themselves still fit
+    assert run(SizeWindow(6, 0.0)).size == 6
 
 
 def test_stream_matches_window_sample(grammars, oracles):
