@@ -11,6 +11,7 @@ uniformly).  Every sampler is deterministic given the generator state.
 from __future__ import annotations
 
 import json
+import re
 
 __all__ = [
     "default_datatype_samplers",
@@ -141,6 +142,10 @@ def canonical_value(type_name):
     return _CANONICAL.get(type_name, type_name)
 
 
+# a character outside XML 1.0's Char production, which no document holds
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _table_sampler(values):
     values = tuple(values)
 
@@ -151,7 +156,9 @@ def _table_sampler(values):
 
 
 def load_value_table(path):
-    """Read a JSON value-table file into a sampler registry."""
+    """Read a JSON value-table file into a sampler registry; raise
+    ValueError for a malformed table or a value holding a character that
+    XML 1.0 does not allow."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -166,6 +173,12 @@ def load_value_table(path):
             raise ValueError(
                 "value table entry %r must be a nonempty list of strings" % name
             )
+        for v in values:
+            if _NOT_XML_CHAR.search(v):
+                raise ValueError(
+                    "value table entry %r holds %r, with a character XML "
+                    "does not allow" % (name, v)
+                )
         registry[name] = _table_sampler(values)
     return registry
 

@@ -23,16 +23,15 @@ documents keep their law.  Aborting on the committed size rather than on
 the drawn size leaves the stream at an earlier point after an abort, so
 it changed the accepted attempt, and the bytes, of most seeds.  On
 acceptance the structure stream is rewound to a checkpoint and the
-accepted attempt is replayed by one of two walks that make the same draws:
-
-- _walk_write writes the document's UTF-8 bytes to a sink while it is
-  generated, with no event objects in between.  sample_to_sink uses it
-  for every grammar.  An element whose attributes can follow its content
-  (a late element) has its start tag held back until it ends, so the
-  bytes beneath the outermost open late element wait in one buffer; all
-  others go straight to the sink.
-- _walk_buffered builds the StartElement / TextContent / EndElement list
-  for sample_in_window and free_sample.
+accepted attempt is replayed by _walk_write, which writes the document's
+UTF-8 bytes while it is generated, with no event objects in between.  An
+element whose attributes can follow its content (a late element) has its
+start tag held back until it ends, so the bytes beneath the outermost
+open late element wait in one buffer; all others go straight to the
+sink.  sample_in_window and free_sample write to a buffer and parse the
+bytes into events (_parse_events): adjacent texts arrive as one
+TextContent, an empty text beside other content is absent, and an
+element written as <b></b> keeps one empty TextContent.
 
 Values come from a second random stream so the counting pass stays
 aligned with the replay.
@@ -47,6 +46,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from io import BytesIO
+from xml.parsers import expat
 
 from . import ast
 from .datatypes import merge_registries
@@ -137,7 +137,7 @@ class StreamStats:
     write_seconds: float  # time spent generating and writing the bytes
 
 
-# Op codes.  The event plan, run by the replay walks, has one op per node:
+# Op codes.  The event plan, run by the replay walk, has one op per node:
 # _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END and _DEAD, with _LATE_ELEM,
 # _LATE_END and _LATE_ATTR in their place for late elements.  The counting
 # plan has only the ops that draw; each op's smallest size is counted when
@@ -223,7 +223,7 @@ class Sampler:
     def _build_plan(self):
         """Build the event plan and the counting plan from the grammar.
 
-        Event ops per definition are (_ELEM, head, children, end, name, ns);
+        Event ops per definition are (_ELEM, head, children, end, name);
         head is the encoded '<name' with any xmlns, end the shared
         (_END, b'</name>').  A late definition, one whose element can take
         an attribute after content, has (_LATE_ELEM, ...) with the end
@@ -258,7 +258,7 @@ class Sampler:
                 op = (_LATE_ELEM, head, [], (_LATE_END, end, head))
             else:
                 op = (_ELEM, head, [], (_END, end))
-            self._event_elem[name] = op + (body.name, body.ns)
+            self._event_elem[name] = op + (body.name,)
         for name, body in g.defines.items():
             owner = body.name if name in self.late else None
             self._event_elem[name][2].extend(
@@ -334,7 +334,7 @@ class Sampler:
             self.used_types.add(p.type)
             return ((_TEXT, p.type),)
         if isinstance(p, ast.Value):
-            return ((_LIT, p.literal, _esc_text(p.literal).encode()),)
+            return ((_LIT, _esc_text(p.literal).encode()),)
         if isinstance(p, ast.Attribute):
             value = self._compile_value(p.content)
             if owner is None:
@@ -527,9 +527,9 @@ class Sampler:
         size is the committed size: the size drawn so far plus the
         smallest size of every op still pending.  The walk aborts as soon
         as it passes the ceiling, since no document from there fits.  A
-        walk that ends makes the replay walks' structure draws in the
+        walk that ends makes the replay walk's structure draws in the
         same order and returns the same size; an aborted one has made a
-        prefix of the draws after which they raise CeilingExceededError."""
+        prefix of the draws after which it raises CeilingExceededError."""
         size = self.min_size
         if size > ceiling:
             return -1
@@ -638,12 +638,12 @@ class Sampler:
 
     def _walk_write(self, rng_s, rng_v, ceiling, registry, sink):
         """Generate a document straight to a binary sink; returns the
-        number of bytes written.
+        number of bytes written and the document's size.
 
         tag is the element op whose start tag still lacks its '>', names
-        the attribute names written into that tag.  The bytes equal
-        serialize_stream's over _walk_buffered's events: '>' before an
-        element's first child or text, '/>' when it has neither.
+        the attribute names written into that tag.  The bytes follow
+        serialize_stream's rules: '>' before an element's first child or
+        text, '/>' when it has neither.
 
         A late element's start tag is complete only at its end.  From the
         first late element to open until it ends, out is a region buffer
@@ -715,7 +715,7 @@ class Sampler:
                 data = (' %s="%s"' % (name, value)).encode()
             elif k == _TEXT or k == _LIT:
                 if k == _LIT:
-                    data = op[2]
+                    data = op[1]
                 else:
                     data = _esc_text(registry[op[1]](rng_v)).encode()
                 if tag is not None:
@@ -778,62 +778,7 @@ class Sampler:
                 raise SamplingError("dead branch executed; plan is inconsistent")
             out.write(data)
             written += len(data)
-        return written
-
-    def _walk_buffered(self, rng_s, rng_v, ceiling, registry):
-        """Full-document generation allowing attributes after content."""
-        stack = list(self._event_start)
-        out = []
-        open_stack = []  # (slot in out, name, attrs, ns)
-        size = 0
-        rnd = rng_s.random
-        log = math.log
-        while stack:
-            op = stack.pop()
-            k = op[0]
-            if k == _ELEM or k == _LATE_ELEM:
-                size += 1
-                if size > ceiling:
-                    raise CeilingExceededError(ceiling)
-                open_stack.append((len(out), op[4], [], op[5]))
-                out.append(None)
-                stack.append(op[3])
-                if op[2]:
-                    stack.extend(op[2])
-            elif k == _CHOICE:
-                u = rnd()
-                cps = op[1]
-                i = 0
-                while u >= cps[i]:
-                    i += 1
-                branch = op[2][i]
-                if branch:
-                    stack.extend(branch)
-            elif k == _SEQ:
-                reps = 1 + int(log(1.0 - rnd()) / op[1])
-                if size + reps > ceiling:
-                    raise CeilingExceededError(ceiling)
-                child = op[2]
-                for _ in range(reps):
-                    stack.extend(child)
-            elif k == _END or k == _LATE_END:
-                slot, name, attrs, ns = open_stack.pop()
-                out[slot] = StartElement(name, tuple(attrs), ns)
-                out.append(EndElement(name))
-            elif k == _ATTR or k == _LATE_ATTR:
-                size += 1
-                if size > ceiling:
-                    raise CeilingExceededError(ceiling)
-                open_stack[-1][2].append(
-                    (op[1], self._sample_value(op[2], rng_v, registry))
-                )
-            elif k == _TEXT:
-                out.append(TextContent(registry[op[1]](rng_v)))
-            elif k == _LIT:
-                out.append(TextContent(op[1]))
-            else:
-                raise SamplingError("dead branch executed; plan is inconsistent")
-        return out, size
+        return written, size
 
     # -- public sampling --------------------------------------------------
 
@@ -846,7 +791,9 @@ class Sampler:
             rng = random.Random()
         elif isinstance(rng, int):
             rng = random.Random(rng)
-        return self._walk_buffered(rng, rng, ceiling, self.registry_for(registry))
+        buf = BytesIO()
+        _, size = self._walk_write(rng, rng, ceiling, self.registry_for(registry), buf)
+        return _parse_events(buf.getvalue()), size
 
     def free_size(self, rng, *, ceiling=DEFAULT_FREE_CEILING):
         """Size of one unconstrained draw, -1 if it passed the ceiling."""
@@ -872,22 +819,17 @@ class Sampler:
 
         Each attempt runs the counting pass only, aborting as soon as the
         document can no longer fit under the upper bound; an accepted
-        attempt rewinds the structure stream and replays it to build the
-        events.  Raises SamplingError if no document fits the window and
+        attempt rewinds the structure stream and replays it through the
+        writer walk.  The events are sample_to_sink's bytes, parsed.
+        Raises SamplingError if no document fits the window and
         ExhaustedError with the observed size histogram if the budget runs
         out."""
-        registry = self.registry_for(config.registry)
-        window = config.window
-        self.check_window(window)
-        rng_s, rng_v = self._streams(config)
-        sizes = []
-        started = time.perf_counter()
-        attempt, size = self._accept_attempt(
-            rng_s, window.lower, window.upper, config.max_attempts, sizes
+        buf = BytesIO()
+        stats = self.sample_to_sink(config, buf)
+        return WindowSample(
+            _parse_events(buf.getvalue()), stats.size, stats.attempts,
+            stats.sizes, stats.count_seconds,
         )
-        counted = time.perf_counter() - started
-        events, _ = self._walk_buffered(rng_s, rng_v, window.upper, registry)
-        return WindowSample(events, size, attempt, sizes, counted)
 
     def sample_to_sink(self, config, sink, *, xml_declaration=False):
         """Like sample_in_window but writing UTF-8 bytes to a binary sink.
@@ -911,7 +853,7 @@ class Sampler:
         if xml_declaration:
             sink.write(XML_DECLARATION)
             written = len(XML_DECLARATION)
-        written += self._walk_write(rng_s, rng_v, upper, registry, sink)
+        written += self._walk_write(rng_s, rng_v, upper, registry, sink)[0]
         return StreamStats(
             size, attempt, written, sizes,
             counted - started, time.perf_counter() - counted,
@@ -944,3 +886,44 @@ def _write_region(sink, tag, region, heads, marks):
     region.seek(0)
     region.truncate()
     return written
+
+
+def _parse_events(data):
+    """Parse _walk_write's bytes into events, raising SamplingError if
+    they do not parse.  A leading xmlns becomes the start event's ns, and
+    <b></b> gets one TextContent(""), so serialize_stream gives the bytes
+    back."""
+    events = []
+    append = events.append
+    parser = expat.ParserCreate()
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+
+    def start(name, attrs):
+        ns = None
+        if attrs and attrs[0] == "xmlns":
+            ns = attrs[1]
+            del attrs[:2]
+        append(StartElement(name, tuple(zip(attrs[::2], attrs[1::2])), ns))
+
+    def end(name):
+        if type(events[-1]) is StartElement:
+            # expat reports the end of <b/> just past its '/>'
+            at = parser.CurrentByteIndex
+            if data[at - 2:at] != b"/>":
+                append(TextContent(""))
+        append(EndElement(name))
+
+    def text(chunk):
+        if type(events[-1]) is TextContent:
+            chunk = events.pop().text + chunk
+        append(TextContent(chunk))
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise SamplingError("sampled document does not parse: %s" % exc) from None
+    return events

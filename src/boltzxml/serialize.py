@@ -3,11 +3,11 @@
 Documents are streams of StartElement / TextContent / EndElement events.
 serialize_stream writes a stream to a binary sink as it arrives: its state
 is one pending start tag and a depth counter, so memory use is independent
-of document size.  It serves event lists: sample_in_window and free_sample
-results and enumerated documents.  sample_to_sink writes bytes straight
-from the generating walk instead, with the same escaping helpers
-(_esc_text, _esc_attr) and the same rules, so both routes give the same
-bytes for the same document.
+of document size.  It serves event lists such as enumerated documents.
+The sampler's writer walk writes bytes straight from generation, with the
+same escaping helpers (_esc_text, _esc_attr) and the same rules;
+sample_in_window and free_sample parse its bytes into events, which
+serialize_stream turns back into the same bytes.
 """
 
 from __future__ import annotations

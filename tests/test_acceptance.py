@@ -386,7 +386,7 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
                 rewind()
                 return sampler._walk_write(
                     rng_s, rng_v, window.upper, registry, sink
-                )
+                )[0]
 
             # generation pass timed without instrumentation overhead
             sink = _CountingSink()

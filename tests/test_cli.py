@@ -273,6 +273,20 @@ def test_bad_plugin_file(workdir, tmp_path, capsys):
     assert "value table" in capsys.readouterr().err
 
 
+def test_plugin_value_outside_xml_leaves_no_output(workdir, tmp_path, capsys):
+    plugin = tmp_path / "values.json"
+    plugin.write_text(json.dumps({"string": ["a\u0001b"]}))
+    docs = tmp_path / "docs"
+    code = main([
+        "sample", str(workdir / "ternary.rng"), str(workdir / "ternary.oracle"),
+        "-n", "13", "-e", "0.5", "--datatype-plugin", str(plugin),
+        "--out", str(docs),
+    ])
+    assert code == EXIT_INPUT
+    assert "character XML does not allow" in capsys.readouterr().err
+    assert not docs.exists()
+
+
 def test_all_documents_exhausted(workdir, tmp_path, capsys):
     # no ternary document has size 2
     docs = tmp_path / "docs"

@@ -6,9 +6,10 @@ repetition below them) has no op; its size is counted up front, as part
 of the smallest size of the pattern around it.  The walk tracks its
 committed size, the size drawn so far plus the smallest size of every op
 still pending, and aborts once that passes the ceiling.  It must return
-the size _walk_buffered reaches and leave the structure stream in the
-same state when it ends, and -1 exactly where _walk_buffered raises
-CeilingExceededError, after a prefix of _walk_buffered's draws."""
+the size the writer walk _walk_write reaches and leave the structure
+stream in the same state when it ends, and -1 exactly where _walk_write
+raises CeilingExceededError, after a prefix of _walk_write's draws.  The
+writer's bytes go to a sink that keeps nothing."""
 
 import math
 import random
@@ -133,9 +134,15 @@ class CountingRandom(random.Random):
         return super().random()
 
 
+class DiscardSink:
+    write = len
+
+
 def _replay_size(sampler, rng, ceiling, registry):
     try:
-        return sampler._walk_buffered(rng, random.Random(0), ceiling, registry)[1]
+        return sampler._walk_write(
+            rng, random.Random(0), ceiling, registry, DiscardSink()
+        )[1]
     except CeilingExceededError:
         return -1
 

@@ -115,6 +115,7 @@ def test_value_table_loading(tmp_path):
         '{"t": [1]}',
         '{"t": ["ok"], 3: []}',
         "not json",
+        '{"string": ["a\\u0001b"]}',
     ],
 )
 def test_value_table_rejects_bad_payloads(tmp_path, payload):

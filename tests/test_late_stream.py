@@ -3,12 +3,14 @@
 A late element is one whose attributes can follow its content, so its
 start tag is complete only when it ends.  The writer walk holds back the
 bytes beneath the outermost open late element in one region buffer and
-writes everything else straight to the sink.  Its bytes, byte count and
-errors must equal serialize_stream's over the event walk's events for the
-same seed and window; a late element deep in a document must not hold
-back the rest of it; and a deep chain of late elements must cost time and
-memory linear in its length."""
+writes everything else straight to the sink.  Its bytes and byte count
+must equal serialize_stream's over the events of an independent reference
+walk for the same seed and window, and so must the bytes of
+sample_in_window's events; a late element deep in a document must not
+hold back the rest of it; and a deep chain of late elements must cost
+time and memory linear in its length."""
 
+import html
 import io
 import math
 import time
@@ -18,9 +20,12 @@ from pathlib import Path
 import pytest
 
 from boltzxml import (
+    EndElement,
     Sampler,
     SamplerConfig,
     SizeWindow,
+    StartElement,
+    TextContent,
     compile_grammar,
     events_to_bytes,
     parse_grammar,
@@ -29,7 +34,11 @@ from boltzxml import (
     solve,
 )
 from boltzxml.cli import EXIT_INPUT, main
-from boltzxml.errors import SamplingError
+from boltzxml.errors import CeilingExceededError, SamplingError
+from boltzxml.sampler import (
+    _ATTR, _CHOICE, _ELEM, _END, _LATE_ATTR, _LATE_ELEM, _LATE_END, _LIT,
+    _SEQ, _TEXT,
+)
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 SCHEMA = Path(__file__).parent / "data" / "schema-4-16-8.rng"
@@ -44,12 +53,84 @@ def make_sampler(grammar, x):
     return Sampler(grammar, solve(system, x), system=system)
 
 
+def reference_events(sampler, rng_s, rng_v, ceiling, registry):
+    """Run the sampler's event plan into an event list; returns (events,
+    size).
+
+    It makes the writer walk's draws, but builds each start event when
+    its element opens and completes its attributes when it ends, so it
+    needs no region buffer.  An element's namespace is read back from
+    its encoded head, a literal's text from its escaped bytes."""
+    stack = list(sampler._event_start)
+    out = []
+    open_stack = []  # (slot in out, name, attrs, ns)
+    size = 0
+    while stack:
+        op = stack.pop()
+        k = op[0]
+        if k == _ELEM or k == _LATE_ELEM:
+            size += 1
+            if size > ceiling:
+                raise CeilingExceededError(ceiling)
+            _, _, ns = op[1].decode().partition(' xmlns="')
+            ns = html.unescape(ns[:-1]) if ns else None
+            open_stack.append((len(out), op[4], [], ns))
+            out.append(None)
+            stack.append(op[3])
+            stack.extend(op[2])
+        elif k == _CHOICE:
+            u = rng_s.random()
+            i = 0
+            while u >= op[1][i]:
+                i += 1
+            stack.extend(op[2][i])
+        elif k == _SEQ:
+            reps = 1 + int(math.log(1.0 - rng_s.random()) / op[1])
+            if size + reps > ceiling:
+                raise CeilingExceededError(ceiling)
+            for _ in range(reps):
+                stack.extend(op[2])
+        elif k == _END or k == _LATE_END:
+            slot, name, attrs, ns = open_stack.pop()
+            out[slot] = StartElement(name, tuple(attrs), ns)
+            out.append(EndElement(name))
+        elif k == _ATTR or k == _LATE_ATTR:
+            size += 1
+            if size > ceiling:
+                raise CeilingExceededError(ceiling)
+            open_stack[-1][2].append(
+                (op[1], sampler._sample_value(op[2], rng_v, registry))
+            )
+        elif k == _TEXT:
+            out.append(TextContent(registry[op[1]](rng_v)))
+        elif k == _LIT:
+            out.append(TextContent(html.unescape(op[1].decode())))
+        else:
+            raise SamplingError("dead branch executed")
+    return out, size
+
+
+def reference_sample(sampler, config):
+    """The events of the document sample_to_sink writes for config."""
+    window = config.window
+    rng_s, rng_v = sampler._streams(config)
+    sampler._accept_attempt(
+        rng_s, window.lower, window.upper, config.max_attempts, []
+    )
+    registry = sampler.registry_for(config.registry)
+    return reference_events(sampler, rng_s, rng_v, window.upper, registry)[0]
+
+
 def both_routes(sampler, config, **kwargs):
-    """(sample_to_sink bytes, its stats, serialize_stream bytes)."""
+    """(sample_to_sink bytes, its stats, serialize_stream bytes of the
+    reference walk's events), after checking that sample_in_window's
+    events give those bytes too."""
     sink = io.BytesIO()
     stats = sampler.sample_to_sink(config, sink, **kwargs)
+    expected = events_to_bytes(reference_sample(sampler, config), **kwargs)
     events = sampler.sample_in_window(config).events
-    return sink.getvalue(), stats, events_to_bytes(events, **kwargs)
+    assert events_to_bytes(events, **kwargs) == expected
+    return sink.getvalue(), stats, expected
 
 
 class CountingSink:
@@ -204,13 +285,13 @@ def test_late_duplicate_attribute_raises_like_the_serializer():
     sampler = make_sampler(g(LATE_DUPLICATE), 0.3)
     assert sampler.late
     config = SamplerConfig(window=SizeWindow(3, 0.0), seed=0)
-    events = sampler.sample_in_window(config).events
-    with pytest.raises(SamplingError) as by_events:
-        serialize_stream(events, io.BytesIO())
-    with pytest.raises(SamplingError) as by_walk:
+    message = "duplicate attribute 'k' on element 'a'"
+    with pytest.raises(SamplingError, match=message):
+        serialize_stream(reference_sample(sampler, config), io.BytesIO())
+    with pytest.raises(SamplingError, match=message):
+        sampler.sample_in_window(config)
+    with pytest.raises(SamplingError, match=message):
         sampler.sample_to_sink(config, io.BytesIO())
-    assert str(by_walk.value) == str(by_events.value)
-    assert str(by_walk.value) == "duplicate attribute 'k' on element 'a'"
 
 
 def test_late_duplicate_attribute_leaves_no_file(tmp_path, capsys):
@@ -241,7 +322,7 @@ def rewound_writer(sampler, window, seed, registry=None):
     def write(sink):
         rng_s.setstate(state_s)
         rng_v.setstate(state_v)
-        return sampler._walk_write(rng_s, rng_v, window.upper, registry, sink)
+        return sampler._walk_write(rng_s, rng_v, window.upper, registry, sink)[0]
 
     return size, write
 

@@ -12,11 +12,13 @@ from boltzxml import (
     CeilingExceededError,
     ExhaustedError,
     MissingDatatypeError,
+    EndElement,
     Sampler,
     SamplingError,
     SamplerConfig,
     SizeWindow,
     StartElement,
+    TextContent,
     compile_grammar,
     count_coefficients,
     events_to_bytes,
@@ -28,6 +30,7 @@ from boltzxml import (
     solve,
 )
 from boltzxml.cli import EXIT_INPUT, main
+from boltzxml.sampler import _parse_events
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 
@@ -407,14 +410,26 @@ def test_empty_text_value_closes_with_end_tag():
     system = compile_grammar(grammar)
     sampler = Sampler(grammar, solve(system, 0.5), system=system)
     assert not sampler.late
-    sink, stats, expected = both_routes(
-        sampler,
-        SamplerConfig(
-            window=SizeWindow(3, 0.0), seed=0, registry={"string": lambda rng: ""}
-        ),
+    config = SamplerConfig(
+        window=SizeWindow(3, 0.0), seed=0, registry={"string": lambda rng: ""}
     )
+    sink, stats, expected = both_routes(sampler, config)
     assert sink.getvalue() == expected == b"<a><b></b><c></c></a>"
     assert stats.bytes_written == len(expected)
+    # the events parsed from those bytes keep one empty text per element,
+    # where <b/> has none
+    a, b, c = StartElement("a"), StartElement("b"), StartElement("c")
+    empty = TextContent("")
+    assert sampler.sample_in_window(config).events == [
+        a, b, empty, EndElement("b"), c, empty, EndElement("c"), EndElement("a")
+    ]
+    assert _parse_events(b"<a><b/><c></c></a>") == [
+        a, b, EndElement("b"), c, empty, EndElement("c"), EndElement("a")
+    ]
+    # adjacent texts arrive as one, and an empty one beside content is gone
+    assert _parse_events(b"<a>x&amp;y\r\n&#13;<b/></a>") == [
+        a, TextContent("x&y\n\r"), b, EndElement("b"), EndElement("a")
+    ]
 
 
 def test_namespaced_root_is_written_like_the_serializer():
@@ -426,11 +441,16 @@ def test_namespaced_root_is_written_like_the_serializer():
     )
     sampler = make_sampler(grammar, 0.3)
     for seed in range(5):
-        sink, _, expected = both_routes(
-            sampler, SamplerConfig(window=SizeWindow(2, 1.0), seed=seed)
-        )
+        config = SamplerConfig(window=SizeWindow(2, 1.0), seed=seed)
+        sink, _, expected = both_routes(sampler, config)
         assert sink.getvalue() == expected
         assert expected.startswith(b'<a xmlns="urn:x&amp;&quot;y"')
+        # the parsed events carry the namespace as ns, not as an attribute
+        starts = [
+            e for e in sampler.sample_in_window(config).events
+            if isinstance(e, StartElement)
+        ]
+        assert starts and all(e == StartElement("a", (), 'urn:x&"y') for e in starts)
 
 
 @pytest.mark.parametrize("late", [False, True])
@@ -538,13 +558,26 @@ def test_duplicate_attribute_raises_like_the_serializer():
     sampler = make_sampler(g(DUPLICATE), 0.3)
     assert not sampler.late
     config = SamplerConfig(window=SizeWindow(3, 0.0), seed=0)
-    events = sampler.sample_in_window(config).events
-    with pytest.raises(SamplingError) as by_events:
+    message = "duplicate attribute 'k' on element 'a'"
+    events = [StartElement("a", (("k", "v"), ("k", "w"))), EndElement("a")]
+    with pytest.raises(SamplingError, match=message):
         serialize_stream(events, io.BytesIO())
-    with pytest.raises(SamplingError) as by_walk:
+    with pytest.raises(SamplingError, match=message):
+        sampler.sample_in_window(config)
+    with pytest.raises(SamplingError, match=message):
         sampler.sample_to_sink(config, io.BytesIO())
-    assert str(by_walk.value) == str(by_events.value)
-    assert str(by_walk.value) == "duplicate attribute 'k' on element 'a'"
+
+
+def test_events_of_a_document_that_does_not_parse_raise():
+    # a character XML forbids, from a custom sampler, is written as is
+    sampler = make_sampler(g("<start><element name='a'><text/></element></start>"), 0.5)
+    config = SamplerConfig(
+        window=SizeWindow(1, 0.0), seed=0, registry={"string": lambda rng: "a\x01b"}
+    )
+    with pytest.raises(SamplingError, match="sampled document does not parse"):
+        sampler.sample_in_window(config)
+    with pytest.raises(SamplingError, match="sampled document does not parse"):
+        sampler.free_sample(0, registry=config.registry)
 
 
 def test_duplicate_attribute_leaves_no_file(tmp_path, capsys):
