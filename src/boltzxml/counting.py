@@ -1,9 +1,10 @@
 """Exact coefficient extraction and exhaustive document enumeration.
 
 count_coefficients runs a truncated power-series fixpoint on the equation
-system using arbitrary-precision integers, layer by layer: products of
-class series are maintained incrementally through a shared chain of pairwise
-convolutions, so the total cost is O(chains * cutoff^2) big-int operations.
+system using arbitrary-precision integers, size by size.  Every class series
+and every product of classes is a plain list; products are built as chains
+of pairwise convolutions shared across monomials by common prefix, so the
+total cost is O(products * cutoff^2) big-int operations.
 
 enumerate_documents lists every derivation of a given size, producing
 documents with canonical leaf values; the list length equals the counting
@@ -13,6 +14,7 @@ coefficient for that size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import ast
 from .datatypes import canonical_value
@@ -40,83 +42,54 @@ class CountingTable:
         return list(self.counts[cls or self.start])
 
 
-def _build_chains(system):
-    """Rewrite monomials so every class product is a chain of pairwise
-    convolutions; chains are shared across monomials by common prefix."""
-    helper_index = {}
-    helpers = []  # (left_src, right_class_name)
-
-    def chain_for(factors):
-        if len(factors) == 1:
-            return ("cls", factors[0])
-        key = factors
-        if key in helper_index:
-            return helper_index[key]
-        left = chain_for(factors[:-1])
-        helpers.append((left, factors[-1]))
-        src = ("h", len(helpers) - 1)
-        helper_index[key] = src
-        return src
-
-    plans = {}
-    for name in system.classes:
-        plan = []
-        for mon in system.equations[name]:
-            factors = []
-            for cls, exp in mon.powers:
-                factors.extend([cls] * exp)
-            src = chain_for(tuple(factors)) if factors else None
-            plan.append((mon.coeff, mon.xexp, src))
-        plans[name] = plan
-    return plans, helpers
-
-
 def count_coefficients(system, cutoff):
     """Exact counts of objects of size 0..cutoff for every class."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    plans, helpers = _build_chains(system)
-    series = {name: [0] * (cutoff + 1) for name in system.classes}
-    hseries = [[0] * (cutoff + 1) for _ in helpers]
+    series = {name: [] for name in system.classes}
+    unit = [1] + [0] * cutoff  # the series of a monomial with no class
+    # (series, left factor's series, right class's series); a prefix comes
+    # before the products that extend it, so a pass computes it first
+    products = []
+    by_factors = {}
 
-    def src_val(src, k):
-        if k < 0:
-            return 0
-        if src[0] == "cls":
-            return series[src[1]][k]
-        return hseries[src[1]][k]
+    def product(factors):
+        if len(factors) < 2:
+            return series[factors[0]] if factors else unit
+        hit = by_factors.get(factors)
+        if hit is None:
+            left = product(factors[:-1])
+            hit = by_factors[factors] = []
+            products.append((hit, left, series[factors[-1]]))
+        return hit
 
-    max_passes = len(system.classes) + len(helpers) + 2
+    plans = []  # (class series, [(coeff, xexp, series of the product)])
+    for name in system.classes:
+        plan = []
+        for mon in system.equations[name]:
+            factors = tuple(cls for cls, exp in mon.powers for _ in range(exp))
+            plan.append((mon.coeff, mon.xexp, product(factors)))
+        plans.append((series[name], plan))
+    lists = list(series.values()) + [prod for prod, _, _ in products]
+    max_passes = len(system.classes) + len(products) + 2
     for n in range(cutoff + 1):
+        for s in lists:
+            s.append(0)
         for _ in range(max_passes):
             changed = False
-            for idx, (left, right) in enumerate(helpers):
-                rs = series[right]
-                total = 0
-                for j in range(n + 1):
-                    lv = src_val(left, j)
-                    if lv:
-                        rv = rs[n - j]
-                        if rv:
-                            total += lv * rv
-                if total != hseries[idx][n]:
-                    hseries[idx][n] = total
+            for prod, left, right in products:
+                # every list holds sizes 0..n, so this pairs j with n - j
+                total = sum(map(mul, left, reversed(right)))
+                if total != prod[n]:
+                    prod[n] = total
                     changed = True
-            for name in system.classes:
+            for s, plan in plans:
                 total = 0
-                for coeff, xexp, src in plans[name]:
-                    k = n - xexp
-                    if k < 0:
-                        continue
-                    if src is None:
-                        if k == 0:
-                            total += coeff
-                    else:
-                        v = src_val(src, k)
-                        if v:
-                            total += coeff * v
-                if total != series[name][n]:
-                    series[name][n] = total
+                for coeff, xexp, src in plan:
+                    if xexp <= n:
+                        total += coeff * src[n - xexp]
+                if total != s[n]:
+                    s[n] = total
                     changed = True
             if not changed:
                 break
@@ -224,35 +197,19 @@ def enumerate_documents(grammar, size, *, bound=10000, system=None, table=None):
                         out.append(a + b)
             return tuple(out)
         if isinstance(p, ast.OneOrMore):
-            return enum_seq(p, budget)
+            # a first item of size j, then a repetition of the rest; one
+            # item taking the whole budget comes last
+            out = tuple(
+                a + rest
+                for j in range(1, budget)
+                for a in enum(p.child, j)
+                for rest in enum(p, budget - j)
+            )
+            return out + enum(p.child, budget) if budget else ()
         raise ValueError("unexpected pattern %s" % type(p).__name__)
-
-    seq_memo = {}
-
-    def enum_seq(node, budget):
-        key = (id(node), budget)
-        hit = seq_memo.get(key)
-        if hit is not None:
-            return hit
-        out = []
-        for j in range(1, budget + 1):
-            firsts = enum(node.child, j)
-            if not firsts:
-                continue
-            if j == budget:
-                out.extend(firsts)
-            else:
-                rests = enum_seq(node, budget - j)
-                for a in firsts:
-                    for rest in rests:
-                        out.append(a + rest)
-        result = tuple(out)
-        seq_memo[key] = result
-        return result
 
     docs = []
     for frag in enum(grammar.start, size):
-        items = [item for item in frag]
-        assert len(items) == 1 and items[0][0] == "e"
-        docs.append(items[0][1])
+        assert len(frag) == 1 and frag[0][0] == "e"
+        docs.append(frag[0][1])
     return docs

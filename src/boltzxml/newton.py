@@ -555,7 +555,7 @@ def verify_oracle(oracle, system):
         raise OracleMismatchError(
             "oracle was solved for system %s... but this system is %s..."
             % (oracle.system_digest[:12], digest[:12]),
-            "re-run solve to refresh it",
+            "re-run solve to refresh it, or pass the system it was solved for",
         )
     missing = set(system.classes) - set(oracle.values)
     if missing:

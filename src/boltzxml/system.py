@@ -54,6 +54,7 @@ class GfSystem:
         self.start = start
         self.provenance = provenance or {}
         self.grammar_digest = grammar_digest
+        self._digest = None  # computed on first use; a system is never mutated
         if start not in self.equations:
             raise SystemFormatError("start class %r has no equation" % start)
 
@@ -88,7 +89,9 @@ class GfSystem:
         return "\n".join(lines) + "\n"
 
     def digest(self):
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
+        return self._digest
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

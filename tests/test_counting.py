@@ -2,18 +2,27 @@
 enumeration of small size classes."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from boltzxml import (
     EnumerationBoundError,
+    GfSystem,
+    IllFoundedSystemError,
+    Monomial,
+    compile_grammar,
     count_coefficients,
     doc_to_xml,
     enumerate_documents,
+    load_system,
     newton_evaluate,
+    parse_grammar_file,
     skeleton_key,
     events_from_doc,
 )
+
+SCHEMAS = sorted((Path(__file__).parent / "data").glob("schema-*.rng"))
 
 
 def fuss_catalan(m):
@@ -87,14 +96,24 @@ def test_enumerate_binary_size9(grammars, systems):
 
 
 def test_enumerate_matches_coefficients(grammars, systems):
-    for name in ("ternary", "binary", "attrs", "oneormore", "feed"):
-        table = count_coefficients(systems[name], 7)
-        for n in range(1, 8):
-            docs = enumerate_documents(
-                grammars[name], n, system=systems[name], table=table
-            )
+    # the bundled grammars to size 7, and the frozen schemas to size 12;
+    # texts are distinct only for the bundled ones, since each derivation
+    # is listed once and schema-6-12-4 has two derivations of one text at 8
+    assert len(SCHEMAS) == 4
+    cases = [
+        (name, grammars[name], systems[name], 7)
+        for name in ("ternary", "binary", "attrs", "oneormore", "feed")
+    ]
+    for path in SCHEMAS:
+        grammar = parse_grammar_file(path)
+        cases.append((path.stem, grammar, compile_grammar(grammar), 12))
+    for name, grammar, system, cutoff in cases:
+        table = count_coefficients(system, cutoff)
+        for n in range(1, cutoff + 1):
+            docs = enumerate_documents(grammar, n, system=system, table=table)
             assert len(docs) == table.coefficient(n), (name, n)
-            assert len({doc_to_xml(d) for d in docs}) == len(docs), (name, n)
+            if name in grammars:
+                assert len({doc_to_xml(d) for d in docs}) == len(docs), (name, n)
 
 
 def test_enumerate_empty_size_class(grammars):
@@ -113,3 +132,28 @@ def test_out_of_range_size(systems):
     table = count_coefficients(systems["ternary"], 5)
     with pytest.raises(ValueError):
         table.coefficient(6)
+
+
+def test_same_size_terms_that_depend_on_each_other(tmp_path):
+    # s = a, a = b + x, b = x + x s^2: the size-n term of s waits on a's,
+    # which waits on b's, so each size takes more than two passes;
+    # s = 2x + x s^2 counts 2^(k+1) Catalan(k) at size 2k + 1
+    path = tmp_path / "chain.gfs"
+    path.write_text(
+        "boltzxml-system 1\nclasses 3\nstart s\n"
+        "eq s = 1 0 a:1\neq a = 1 1 + 1 0 b:1\neq b = 1 1 + 1 1 s:2\n"
+    )
+    series = count_coefficients(load_system(path), 41).series()
+    for n in range(42):
+        k, odd = divmod(n, 2)
+        assert series[n] == (2 ** (k + 1) * catalan(k) if odd else 0), n
+    assert series[1:12:2] == [2, 4, 16, 80, 448, 2688]
+
+
+def test_recursion_that_never_settles():
+    # a = 1 + a grows at size 0 on every pass; load_system would refuse it
+    system = GfSystem(
+        ["a"], {"a": (Monomial(1, 0, ()), Monomial(1, 0, (("a", 1),)))}, "a"
+    )
+    with pytest.raises(IllFoundedSystemError, match="size 0"):
+        count_coefficients(system, 3)

@@ -18,8 +18,10 @@ from boltzxml import (
     AUTO_BACKOFF,
     BRACKET_WIDTH,
     DivergedError,
+    GfSystem,
     NoFiniteSingularityError,
     OracleMismatchError,
+    Sampler,
     SystemFormatError,
     compile_grammar,
     estimate_singularity,
@@ -29,6 +31,7 @@ from boltzxml import (
     parse_grammar,
     parse_grammar_file,
     save_oracle,
+    save_system,
     solve,
     verify_oracle,
 )
@@ -334,6 +337,18 @@ def test_solve_carries_system_digest(systems, oracles):
     assert oracles["binary"].system_digest == systems["binary"].digest()
 
 
+def test_solve_then_sampler_serializes_the_system_once(grammars, monkeypatch):
+    system = compile_grammar(grammars["binary"])
+    calls = []
+    to_text = GfSystem.to_text
+    monkeypatch.setattr(
+        GfSystem, "to_text", lambda self: calls.append(self) or to_text(self)
+    )
+    oracle = solve(system, 0.4)
+    Sampler(grammars["binary"], oracle, system=system)
+    assert calls == [system]
+
+
 # ---------------------------------------------------------------------------
 # oracle file
 
@@ -352,6 +367,18 @@ def test_load_oracle_verifies_against_system(systems, oracles, tmp_path):
     load_oracle(path, system=systems["ternary"])
     with pytest.raises(OracleMismatchError, match="re-run solve"):
         load_oracle(path, system=systems["binary"])
+
+
+def test_oracle_fits_only_the_system_it_was_solved_for(grammars, tmp_path):
+    # `boltzxml compile` records the grammar file's sha256 in the .gfs, so a
+    # fresh compile_grammar of the same grammar has another digest
+    grammar = grammars["ternary"]
+    path = tmp_path / "ternary.gfs"
+    save_system(compile_grammar(grammar, grammar_digest="ab" * 32), path)
+    oracle = solve(load_system(path), 0.5)
+    with pytest.raises(OracleMismatchError, match="pass the system it was solved"):
+        Sampler(grammar, oracle)
+    Sampler(grammar, oracle, system=load_system(path))
 
 
 def test_verify_rejects_missing_class(systems, oracles):
