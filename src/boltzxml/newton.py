@@ -55,6 +55,7 @@ point rho_lower * (1 - 1e-7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -435,7 +436,8 @@ def solve(system, x="auto"):
     With x="auto" the singularity is bracketed first and the evaluation
     point is rho_lower * (1 - AUTO_BACKOFF).  With an explicit x the values
     are computed directly; if Newton diverges there, the singularity is
-    bracketed and reported in the error."""
+    bracketed and reported in the error; one that is not a finite number
+    at least 0 raises ValueError."""
     num = _NumSystem(system)
     if x == "auto":
         est = estimate_singularity(num)
@@ -444,6 +446,8 @@ def solve(system, x="auto"):
     else:
         est = None
         x = float(x)
+        if not 0.0 <= x < math.inf:
+            raise ValueError("x must be a finite number at least 0, got %r" % x)
         try:
             result = newton_evaluate(num, x)
         except DivergedError as exc:

@@ -246,7 +246,7 @@ class Sampler:
         g = self.grammar
         self.late = frozenset(
             name for name, body in g.defines.items()
-            if self._scan_late(body.content)[2]
+            if self._scan_late(body.content, body.name)[2]
         )
         for name, body in g.defines.items():
             head = "<" + body.name
@@ -260,9 +260,8 @@ class Sampler:
                 op = (_ELEM, head, [], (_END, end))
             self._event_elem[name] = op + (body.name,)
         for name, body in g.defines.items():
-            owner = body.name if name in self.late else None
             self._event_elem[name][2].extend(
-                _rev(self._compile_events(body.content, owner))
+                _rev(self._compile_events(body.content, name in self.late))
             )
         self._event_start = _rev(self._compile_events(g.start))
         self._min_sizes()
@@ -276,31 +275,39 @@ class Sampler:
             ops, p = todo.pop()
             ops.extend(_rev(self._count_ops(p, [], todo)))
 
-    def _scan_late(self, p):
-        """(has attributes, can emit content, attribute after content)."""
+    def _scan_late(self, p, element):
+        """(attribute names, can emit content, attribute after content)
+        of a pattern in the content of element; a reference's element has
+        its own names.  A group whose two sides share a name, or a
+        repetition over an attribute, could write one name twice, which
+        RELAX NG forbids whatever the weights (section 7.3 of the 2001
+        specification), so it raises SamplingError.  Names compare as the
+        writer writes them, without their namespace."""
         if isinstance(p, (ast.Text, ast.Data, ast.Value)):
-            return (False, True, False)
+            return (frozenset(), True, False)
         if isinstance(p, (ast.Empty, ast.NotAllowed)):
-            return (False, False, False)
+            return (frozenset(), False, False)
         if isinstance(p, ast.Attribute):
-            return (True, False, False)
+            return (frozenset((p.name,)), False, False)
         if isinstance(p, (ast.Ref, ast.Element)):
-            return (False, True, False)
+            return (frozenset(), True, False)
         if isinstance(p, ast.Choice):
-            la = self._scan_late(p.left)
-            ra = self._scan_late(p.right)
-            return (la[0] or ra[0], la[1] or ra[1], la[2] or ra[2])
+            la = self._scan_late(p.left, element)
+            ra = self._scan_late(p.right, element)
+            return (la[0] | ra[0], la[1] or ra[1], la[2] or ra[2])
         if isinstance(p, ast.Group):
-            la = self._scan_late(p.left)
-            ra = self._scan_late(p.right)
+            la = self._scan_late(p.left, element)
+            ra = self._scan_late(p.right, element)
+            _refuse_duplicate(la[0] & ra[0], element)
             return (
-                la[0] or ra[0],
+                la[0] | ra[0],
                 la[1] or ra[1],
-                la[2] or ra[2] or (la[1] and ra[0]),
+                la[2] or ra[2] or (la[1] and bool(ra[0])),
             )
         if isinstance(p, ast.OneOrMore):
-            ca = self._scan_late(p.child)
-            return (ca[0], ca[1], ca[2] or (ca[0] and ca[1]))
+            ca = self._scan_late(p.child, element)
+            _refuse_duplicate(ca[0], element)
+            return ca
         raise SamplingError("unexpected pattern %s" % type(p).__name__)
 
     def _flatten_choice(self, p, out):
@@ -320,9 +327,9 @@ class Sampler:
             live = self._live_memo[key] = [(w, b) for w, b in branches if w > 0.0]
         return live
 
-    def _compile_events(self, p, owner=None):
-        """Compile a pattern into event ops, execution order.  owner is
-        the name of the late element whose content p is, or None."""
+    def _compile_events(self, p, late=False):
+        """Compile a pattern into event ops, execution order.  late is
+        whether p is the content of a late element."""
         if isinstance(p, ast.Empty):
             return ()
         if isinstance(p, ast.NotAllowed):
@@ -337,30 +344,29 @@ class Sampler:
             return ((_LIT, _esc_text(p.literal).encode()),)
         if isinstance(p, ast.Attribute):
             value = self._compile_value(p.content)
-            if owner is None:
+            if not late:
                 return ((_ATTR, p.name, value),)
-            key = (' %s="' % p.name).encode()
-            return ((_LATE_ATTR, p.name, value, key, owner),)
+            return ((_LATE_ATTR, p.name, value, (' %s="' % p.name).encode()),)
         if isinstance(p, ast.Ref):
             return (self._event_elem[p.name],)
         if isinstance(p, ast.Group):
-            return self._compile_events(p.left, owner) + self._compile_events(
-                p.right, owner
+            return self._compile_events(p.left, late) + self._compile_events(
+                p.right, late
             )
         if isinstance(p, ast.OneOrMore):
             ratio = self.weight(p.child)
             if ratio <= 0.0:
                 return ((_DEAD,),)
-            child = _rev(self._compile_events(p.child, owner))
+            child = _rev(self._compile_events(p.child, late))
             return ((_SEQ, math.log(ratio), child),)
         if isinstance(p, ast.Choice):
             live = self._live_branches(p)
             if not live:
                 return ((_DEAD,),)
             if len(live) == 1:
-                return self._compile_events(live[0][1], owner)
+                return self._compile_events(live[0][1], late)
             branches = tuple(
-                _rev(self._compile_events(b, owner)) for _, b in live
+                _rev(self._compile_events(b, late)) for _, b in live
             )
             return ((_CHOICE, _choice_cdf(live), branches),)
         raise SamplingError("unexpected pattern %s" % type(p).__name__)
@@ -640,10 +646,9 @@ class Sampler:
         """Generate a document straight to a binary sink; returns the
         number of bytes written and the document's size.
 
-        tag is the element op whose start tag still lacks its '>', names
-        the attribute names written into that tag.  The bytes follow
-        serialize_stream's rules: '>' before an element's first child or
-        text, '/>' when it has neither.
+        tag is the element op whose start tag still lacks its '>'.  The
+        bytes follow serialize_stream's rules: '>' before an element's
+        first child or text, '/>' when it has neither.
 
         A late element's start tag is complete only at its end.  From the
         first late element to open until it ends, out is a region buffer
@@ -658,7 +663,7 @@ class Sampler:
         the innermost open one's mark.  out.write is looked up at every
         write because a sink may rebind it."""
         stack = list(self._event_start)
-        tag = names = None
+        tag = None
         size = written = 0
         out = sink
         cur = -1
@@ -691,7 +696,7 @@ class Sampler:
                 if size > ceiling:
                     raise CeilingExceededError(ceiling)
                 data = op[1] if tag is None else b">" + op[1]
-                tag, names = op, None
+                tag = op
                 stack.append(op[3])
                 if op[2]:
                     stack.extend(op[2])
@@ -702,17 +707,8 @@ class Sampler:
                 size += 1
                 if size > ceiling:
                     raise CeilingExceededError(ceiling)
-                name = op[1]
-                if names is None:
-                    names = [name]
-                elif name in names:
-                    raise SamplingError(
-                        "duplicate attribute %r on element %r" % (name, tag[4])
-                    )
-                else:
-                    names.append(name)
                 value = _esc_attr(self._sample_value(op[2], rng_v, registry))
-                data = (' %s="%s"' % (name, value)).encode()
+                data = (' %s="%s"' % (op[1], value)).encode()
             elif k == _TEXT or k == _LIT:
                 if k == _LIT:
                     data = op[1]
@@ -736,7 +732,7 @@ class Sampler:
                 else:
                     marks.extend((out.tell(), cur, len(attrs)))
                     cur = len(marks) - 3
-                tag, names = op, None
+                tag = op
                 stack.append(op[3])
                 if op[2]:
                     stack.extend(op[2])
@@ -745,12 +741,6 @@ class Sampler:
                 size += 1
                 if size > ceiling:
                     raise CeilingExceededError(ceiling)
-                # a value never holds a quote, so op[3], b' name="', is
-                # found in attrs only where that attribute starts
-                if attrs.find(op[3], marks[cur + 2] if cur >= 0 else 0) >= 0:
-                    raise SamplingError(
-                        "duplicate attribute %r on element %r" % (op[1], op[4])
-                    )
                 value = _esc_attr(self._sample_value(op[2], rng_v, registry))
                 attrs += op[3] + value.encode() + b'"'
                 continue
@@ -857,6 +847,13 @@ class Sampler:
         return StreamStats(
             size, attempt, written, sizes,
             counted - started, time.perf_counter() - counted,
+        )
+
+
+def _refuse_duplicate(names, element):
+    if names:
+        raise SamplingError(
+            "duplicate attribute %r on element %r" % (min(names), element)
         )
 
 

@@ -191,6 +191,18 @@ def test_solver_divergence_exit_code(tmp_path, grammar_paths, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-0.1"])
+def test_solve_refuses_x_outside_zero_to_infinity(workdir, tmp_path, capsys, x):
+    # refused before any Newton run, so no singularity search and no
+    # numpy warning on stderr
+    out = tmp_path / "bad.oracle"
+    code = main(["solve", str(workdir / "ternary.gfs"), "--x=" + x, "-o", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: x must be a finite number at least 0, got %s\n" % x
+    assert not out.exists()
+
+
 def test_digest_mismatch(workdir, tmp_path, grammar_paths, capsys):
     other = tmp_path / "binary.rng"
     other.write_bytes(grammar_paths["binary"].read_bytes())

@@ -35,6 +35,7 @@ from boltzxml import (
     solve,
     verify_oracle,
 )
+from boltzxml import newton
 from boltzxml.newton import _NumSystem
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
@@ -324,6 +325,18 @@ def test_explicit_divergence_reports_bracket(systems):
     bracket = info.value.bracket
     assert bracket is not None
     assert bracket[0] <= TERNARY_RHO <= bracket[1]
+
+
+@pytest.mark.parametrize(
+    "x", [math.nan, math.inf, -0.1, "nan"], ids=["nan", "inf", "negative", "text"]
+)
+def test_explicit_x_outside_zero_to_infinity_runs_no_newton(systems, monkeypatch, x):
+    def newton_evaluate(num, x):
+        raise AssertionError("Newton ran at x=%r" % x)
+
+    monkeypatch.setattr(newton, "newton_evaluate", newton_evaluate)
+    with pytest.raises(ValueError, match="x must be a finite number at least 0"):
+        solve(systems["ternary"], x)
 
 
 def test_feed_divergence_reports_golden_bracket(systems):

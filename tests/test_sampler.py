@@ -29,6 +29,7 @@ from boltzxml import (
     skeleton_key,
     solve,
 )
+from boltzxml import ast
 from boltzxml.cli import EXIT_INPUT, main
 from boltzxml.sampler import _parse_events
 
@@ -555,17 +556,66 @@ DUPLICATE = (
 
 
 def test_duplicate_attribute_raises_like_the_serializer():
-    sampler = make_sampler(g(DUPLICATE), 0.3)
-    assert not sampler.late
-    config = SamplerConfig(window=SizeWindow(3, 0.0), seed=0)
     message = "duplicate attribute 'k' on element 'a'"
     events = [StartElement("a", (("k", "v"), ("k", "w"))), EndElement("a")]
     with pytest.raises(SamplingError, match=message):
         serialize_stream(events, io.BytesIO())
+    # the grammar is refused when the sampler is built, before any draw
     with pytest.raises(SamplingError, match=message):
-        sampler.sample_in_window(config)
-    with pytest.raises(SamplingError, match=message):
-        sampler.sample_to_sink(config, io.BytesIO())
+        make_sampler(g(DUPLICATE), 0.3)
+
+
+def _element_a(content):
+    return g(
+        '<start><ref name="a"/></start><define name="a">'
+        '<element name="a">%s</element></define>' % content
+    )
+
+
+@pytest.mark.parametrize("content", [
+    # one name in two branches of one choice
+    '<choice><attribute name="k"/><attribute name="k"><value>v</value>'
+    '</attribute></choice>',
+    # the same, in a late element
+    '<text/><choice><attribute name="k"/><attribute name="k"/></choice>',
+    # one name on an element and on its child
+    '<attribute name="k"/><element name="b"><attribute name="k"/></element>'
+    '<zeroOrMore><ref name="a"/></zeroOrMore>',
+])
+def test_attribute_names_that_cannot_meet_sample(content):
+    sampler = make_sampler(_element_a(content), 0.1)
+    for seed in range(20):
+        events = sampler.sample_in_window(
+            SamplerConfig(window=SizeWindow(6, 1.0), seed=seed)
+        ).events
+        for event in events:
+            if type(event) is StartElement:
+                assert [k for k, _ in event.attributes] == ["k"]
+
+
+@pytest.mark.parametrize("grammar", [
+    # the writer writes a namespaced attribute by its local name
+    _element_a('<attribute name="k"/><attribute name="k" ns="urn:x"/>'),
+    # either side of a group can hold the name anywhere beneath it
+    _element_a(
+        '<optional><attribute name="k"/></optional><zeroOrMore><ref name="a"/>'
+        '</zeroOrMore><choice><empty/><group><text/><attribute name="k"/>'
+        '</group></choice>'
+    ),
+    # a repeated attribute built in code: relaxng, which refuses it with
+    # its line, never sees these
+    ast.from_canonical(
+        'start\n  ref "a"\ndefine "a"\n  element "a"\n    oneOrMore\n'
+        '      attribute "k"\n        text\n'
+    ),
+    ast.Grammar(
+        ast.Ref("a"),
+        {"a": ast.Element("a", ast.OneOrMore(ast.Attribute("k", ast.Text())))},
+    ),
+], ids=["namespace", "nested", "canonical", "ast"])
+def test_attribute_names_that_can_meet_are_refused(grammar):
+    with pytest.raises(SamplingError, match="duplicate attribute 'k' on element 'a'"):
+        make_sampler(grammar, 0.1)
 
 
 def test_events_of_a_document_that_does_not_parse_raise():
@@ -592,4 +642,27 @@ def test_duplicate_attribute_leaves_no_file(tmp_path, capsys):
     ])
     assert code == EXIT_INPUT
     assert "duplicate attribute 'k'" in capsys.readouterr().err
-    assert list(docs.iterdir()) == []
+    assert not docs.exists()
+
+
+def test_rare_duplicate_attribute_is_refused_before_any_document(tmp_path, capsys):
+    # two optional k's meet in few documents: drawn one by one, 172 of
+    # these 200 would be written before the first duplicate
+    grammar = tmp_path / "rare.rng"
+    grammar.write_text(
+        '<grammar %s><start><ref name="a"/></start><define name="a">'
+        '<element name="a"><optional><attribute name="k"/></optional>'
+        '<optional><attribute name="k"/></optional><zeroOrMore><ref name="a"/>'
+        '</zeroOrMore></element></define></grammar>' % RNG
+    )
+    assert main(["compile", str(grammar)]) == 0
+    assert main(["solve", str(tmp_path / "rare.gfs"), "--x", "0.1"]) == 0
+    docs, stats = tmp_path / "docs", tmp_path / "s.ndjson"
+    code = main([
+        "sample", str(grammar), str(tmp_path / "rare.oracle"), "-n", "3",
+        "-e", "1", "--count", "200", "--out", str(docs), "--stats", str(stats),
+    ])
+    assert code == EXIT_INPUT
+    assert "duplicate attribute 'k' on element 'a'" in capsys.readouterr().err
+    assert not docs.exists()
+    assert not stats.exists()
