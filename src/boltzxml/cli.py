@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -65,14 +64,21 @@ def _rejected_sizes(histogram):
 
     Sizes of -1 mark walks stopped once they passed the window's upper
     bound; the min, low median and max cover the finished walks, null when
-    none finished."""
-    sizes = sorted(
-        size for size, count in histogram.items() if size >= 0 for _ in range(count)
-    )
+    none finished.  The low median is the first size, in order, at which
+    the running count reaches half the finished walks."""
+    sizes = sorted(size for size in histogram if size >= 0)
+    finished = sum(histogram[size] for size in sizes)
+    median = None
+    seen = 0
+    for size in sizes:
+        seen += histogram[size]
+        if 2 * seen >= finished:
+            median = size
+            break
     return {
         "tooLarge": histogram.get(-1, 0),
         "rejectedMin": sizes[0] if sizes else None,
-        "rejectedMedian": statistics.median_low(sizes) if sizes else None,
+        "rejectedMedian": median,
         "rejectedMax": sizes[-1] if sizes else None,
     }
 
@@ -201,6 +207,7 @@ def cmd_sample(args):
                 outcome = {
                     "status": "ok",
                     "attempts": stats.attempts,
+                    "draws": stats.draws,
                     "size": stats.size,
                     "countMillis": round(stats.count_seconds * 1000.0, 3),
                     "writeMillis": round(stats.write_seconds * 1000.0, 3),

@@ -21,17 +21,19 @@ A finished pass makes the replay's draws; an aborted one makes a prefix
 of the draws of a replay that would pass the bound, so the accepted
 documents keep their law.  Aborting on the committed size rather than on
 the drawn size leaves the stream at an earlier point after an abort, so
-it changed the accepted attempt, and the bytes, of most seeds.  On
-acceptance the structure stream is rewound to a checkpoint and the
-accepted attempt is replayed by _walk_write, which writes the document's
-UTF-8 bytes while it is generated, with no event objects in between.  An
-element whose attributes can follow its content (a late element) has its
-start tag held back until it ends, so the bytes beneath the outermost
-open late element wait in one buffer; all others go straight to the
-sink.  sample_in_window and free_sample write to a buffer and parse the
-bytes into events (_parse_events): adjacent texts arrive as one
-TextContent, an empty text beside other content is absent, and an
-element written as <b></b> keeps one empty TextContent.
+it changed the accepted attempt, and the bytes, of most seeds.  Every
+counting op draws one uniform, so each attempt knows how many it drew.
+On acceptance the structure stream is re-seeded and skips the rejected
+attempts' uniforms, and the accepted attempt is replayed by _walk_write,
+which writes the document's UTF-8 bytes while it is generated, with no
+event objects in between.  An element whose attributes can follow its
+content (a late element) has its start tag held back until it ends, so
+the bytes beneath the outermost open late element wait in one buffer;
+all others go straight to the sink.  sample_in_window and free_sample
+write to a buffer and parse the bytes into events (_parse_events):
+adjacent texts arrive as one TextContent, an empty text beside other
+content is absent, and an element written as <b></b> keeps one empty
+TextContent.
 
 Values come from a second random stream so the counting pass stays
 aligned with the replay.
@@ -77,6 +79,7 @@ __all__ = [
 
 DEFAULT_MAX_ATTEMPTS = 10000
 DEFAULT_FREE_CEILING = 10_000_000
+_SKIP_CHUNK = 256  # uniforms per getrandbits call of _Stream.rewind, 2 KB
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,7 @@ class WindowSample:
     events: list
     size: int
     attempts: int
+    draws: int  # uniforms drawn by the counting pass, all attempts
     sizes: list = field(repr=False)  # per-attempt sizes, -1 for early aborts
     count_seconds: float  # time spent in the counting pass
 
@@ -131,6 +135,7 @@ class WindowSample:
 class StreamStats:
     size: int
     attempts: int
+    draws: int  # uniforms drawn by the counting pass, all attempts
     bytes_written: int
     sizes: list = field(repr=False)
     count_seconds: float  # time spent in the counting pass
@@ -528,18 +533,23 @@ class Sampler:
     # -- walks ------------------------------------------------------------
 
     def _count_walk(self, rng, ceiling):
-        """Structure-only generation pass; returns size or -1 on abort.
+        """Structure-only generation pass; returns (size, draws), size -1
+        on abort.
 
         size is the committed size: the size drawn so far plus the
         smallest size of every op still pending.  The walk aborts as soon
         as it passes the ceiling, since no document from there fits.  A
         walk that ends makes the replay walk's structure draws in the
         same order and returns the same size; an aborted one has made a
-        prefix of the draws after which it raises CeilingExceededError."""
+        prefix of the draws after which it raises CeilingExceededError.
+        Every op draws one uniform, so draws, the number of rng.random()
+        calls the walk made, is the number of ops it pushed less those
+        still on the stack."""
         size = self.min_size
         if size > ceiling:
-            return -1
+            return -1, 0
         stack = list(self._count_start)
+        pushed = len(stack)
         rnd = rng.random
         log = math.log
         while stack:
@@ -550,29 +560,31 @@ class Sampler:
                     if op[2]:
                         size += op[2]
                         if size > ceiling:
-                            return -1
+                            break
                     branch = op[3]
                 else:
                     if op[4]:
                         size += op[4]
                         if size > ceiling:
-                            return -1
+                            break
                     branch = op[5]
                 if branch:
                     stack.extend(branch)
+                    pushed += len(branch)
             elif k == _SEQ:
                 # geometric count from one uniform; 1-u avoids log(0)
                 reps = 1 + int(log(1.0 - rnd()) / op[1])
                 if reps > 1:
                     size += (reps - 1) * op[3]
                     if size > ceiling:
-                        return -1
+                        break
                 child = op[2]
                 if child:
                     # one extend per item: child * reps would be a second
                     # copy of the items, as large as the stack's growth
                     for _ in range(reps):
                         stack.extend(child)
+                    pushed += reps * len(child)
             elif k == _CHOICE:
                 u = rnd()
                 cps = op[1]
@@ -582,45 +594,36 @@ class Sampler:
                 if op[3][i]:
                     size += op[3][i]
                     if size > ceiling:
-                        return -1
+                        break
                 branch = op[2][i]
                 if branch:
                     stack.extend(branch)
+                    pushed += len(branch)
             else:
                 raise SamplingError("dead branch executed; plan is inconsistent")
-        return size
-
-    _CHECKPOINT_EVERY = 32
+        else:
+            return size, pushed
+        return -1, pushed - len(stack)
 
     def _accept_attempt(self, rng_s, lower, upper, max_attempts, sizes):
         """Run counting attempts until one lands inside [lower, upper].
 
-        Returns (attempt, size) with the structure stream rewound to the
-        accepted attempt's first draw, ready for the replay pass; raises
-        ExhaustedError when the budget runs out.  The stream is
-        checkpointed every few attempts and after every walk aborted past
-        the upper bound, rather than before each attempt, so an acceptance
-        rewinds to the last checkpoint and re-runs only the short walks
-        that finished below the window since then."""
+        Returns (attempt, size, draws), draws being the uniforms all
+        attempts drew; raises ExhaustedError when the budget runs out.
+        rng_s must come fresh from _streams: on acceptance it is re-seeded
+        and skips the rejected attempts' draws, which leaves it at the
+        accepted attempt's first draw for the replay pass with no copy of
+        the generator's state kept."""
         note = sizes.append
         walk = self._count_walk
-        getstate = rng_s.getstate
-        span = self._CHECKPOINT_EVERY
-        state = getstate()
-        anchor = 1
-        size = 0
+        skipped = 0
         for attempt in range(1, max_attempts + 1):
-            if size < 0 or attempt - anchor == span:
-                state = None  # a state is 24 KB; drop the old one first
-                state = getstate()
-                anchor = attempt
-            size = walk(rng_s, upper)
+            size, draws = walk(rng_s, upper)
             note(size)
             if lower <= size:
-                rng_s.setstate(state)
-                for _ in range(anchor, attempt):
-                    walk(rng_s, upper)
-                return attempt, size
+                rng_s.rewind(skipped)
+                return attempt, size, skipped + draws
+            skipped += draws
         raise ExhaustedError(max_attempts, Counter(sizes))
 
     def _sample_value(self, plan, rng, registry):
@@ -787,11 +790,11 @@ class Sampler:
 
     def free_size(self, rng, *, ceiling=DEFAULT_FREE_CEILING):
         """Size of one unconstrained draw, -1 if it passed the ceiling."""
-        return self._count_walk(rng, ceiling)
+        return self._count_walk(rng, ceiling)[0]
 
     def _streams(self, config):
         master = random.Random(config.seed)
-        rng_s = random.Random(master.getrandbits(64))
+        rng_s = _Stream(master.getrandbits(64))
         rng_v = random.Random(master.getrandbits(64))
         return rng_s, rng_v
 
@@ -818,7 +821,7 @@ class Sampler:
         stats = self.sample_to_sink(config, buf)
         return WindowSample(
             _parse_events(buf.getvalue()), stats.size, stats.attempts,
-            stats.sizes, stats.count_seconds,
+            stats.draws, stats.sizes, stats.count_seconds,
         )
 
     def sample_to_sink(self, config, sink, *, xml_declaration=False):
@@ -835,7 +838,7 @@ class Sampler:
         rng_s, rng_v = self._streams(config)
         sizes = []
         started = time.perf_counter()
-        attempt, size = self._accept_attempt(
+        attempt, size, draws = self._accept_attempt(
             rng_s, window.lower, upper, config.max_attempts, sizes
         )
         counted = time.perf_counter()
@@ -845,9 +848,29 @@ class Sampler:
             written = len(XML_DECLARATION)
         written += self._walk_write(rng_s, rng_v, upper, registry, sink)[0]
         return StreamStats(
-            size, attempt, written, sizes,
+            size, attempt, draws, written, sizes,
             counted - started, time.perf_counter() - counted,
         )
+
+
+class _Stream(random.Random):
+    """The structure stream: a generator that can go back to its seed and
+    skip forward, so an accepted attempt is found again without a copy of
+    the generator's state, which as a tuple takes 24 KB.  random() takes
+    two 32-bit words and getrandbits(64 k) exactly 2 k, so k uniforms are
+    skipped by getrandbits, in calls of at most _SKIP_CHUNK uniforms so
+    that none holds more than a few KB."""
+
+    def __init__(self, seed):
+        self.origin = seed
+        super().__init__(seed)
+
+    def rewind(self, draws):
+        """Re-seed, then skip the first draws uniforms."""
+        self.seed(self.origin)
+        while draws > 0:
+            self.getrandbits(64 * min(draws, _SKIP_CHUNK))
+            draws -= _SKIP_CHUNK
 
 
 def _refuse_duplicate(names, element):

@@ -371,7 +371,7 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
                 SamplerConfig(window=window, seed=seed)
             )
             sizes = []
-            attempt, size = sampler._accept_attempt(
+            attempt, size, _ = sampler._accept_attempt(
                 rng_s, window.lower, window.upper, 10**6, sizes
             )
             state_s = rng_s.getstate()
@@ -399,7 +399,7 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
             # scales with tree depth)
             rewind()
             tracemalloc.start()
-            assert sampler._count_walk(rng_s, window.upper) == size
+            assert sampler._count_walk(rng_s, window.upper)[0] == size
             _, peak_walk = tracemalloc.get_traced_memory()
             tracemalloc.stop()
 
@@ -490,7 +490,8 @@ def test_08_cli_determinism(tmp_path, capsys):
             lines = (root / "stats.ndjson").read_text().splitlines()
             records = [json.loads(line) for line in lines]
             assert all(
-                set(r) == {"docIndex", "status", "attempts", "size", "seed"} | TIMINGS
+                set(r) == {"docIndex", "status", "attempts", "draws", "size", "seed"}
+                | TIMINGS
                 and r["status"] == "ok"
                 for r in records
             )

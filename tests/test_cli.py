@@ -2,9 +2,12 @@
 
 import json
 import os
+import random
 import re
+import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ from boltzxml.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_SOLVER,
+    _rejected_sizes,
     main,
 )
 
@@ -106,7 +110,7 @@ def test_sample_to_directory_with_stats(workdir, tmp_path, capsys):
     assert len(records) == 3
     for index, record in enumerate(records):
         assert set(record) == {
-            "docIndex", "status", "attempts", "size", "seed", "millis",
+            "docIndex", "status", "attempts", "draws", "size", "seed", "millis",
             "countMillis", "writeMillis",
         }
         assert record["status"] == "ok"
@@ -115,6 +119,8 @@ def test_sample_to_directory_with_stats(workdir, tmp_path, capsys):
         assert record["seed"] == 7 + index
         assert 20 <= record["size"] <= 30
         assert record["attempts"] >= 1
+        # every ternary walk draws at least its root's choice
+        assert record["draws"] >= record["attempts"]
 
 
 def test_sample_documents_are_deterministic(workdir, tmp_path):
@@ -325,6 +331,26 @@ def test_all_documents_exhausted(workdir, tmp_path, capsys):
                 record["rejectedMin"], record["rejectedMedian"], record["rejectedMax"]
             )
             assert 1 <= low <= mid <= high and 2 not in (low, high)
+
+
+def test_rejected_sizes_summarize_the_histogram():
+    rng = random.Random(0)
+    histograms = [Counter({-1: 7}), Counter({5: 1}), Counter({-1: 2, 0: 3})]
+    for _ in range(200):
+        sizes = [rng.choice((-1, rng.randrange(40))) for _ in range(rng.randrange(1, 60))]
+        histograms.append(Counter(sizes))
+    for histogram in histograms:
+        finished = sorted(size for size in histogram.elements() if size >= 0)
+        summary = _rejected_sizes(histogram)
+        assert summary["tooLarge"] == histogram[-1]
+        if finished:
+            assert summary["rejectedMin"] == finished[0]
+            assert summary["rejectedMedian"] == statistics.median_low(finished)
+            assert summary["rejectedMax"] == finished[-1]
+        else:
+            assert summary["rejectedMin"] is None
+            assert summary["rejectedMedian"] is None
+            assert summary["rejectedMax"] is None
 
 
 def test_failed_write_leaves_no_file(workdir, tmp_path, monkeypatch, capsys):

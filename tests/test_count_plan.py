@@ -8,8 +8,10 @@ committed size, the size drawn so far plus the smallest size of every op
 still pending, and aborts once that passes the ceiling.  It must return
 the size the writer walk _walk_write reaches and leave the structure
 stream in the same state when it ends, and -1 exactly where _walk_write
-raises CeilingExceededError, after a prefix of _walk_write's draws.  The
-writer's bytes go to a sink that keeps nothing."""
+raises CeilingExceededError, after a prefix of _walk_write's draws.  It
+also returns the number of uniforms it drew, which the sampler skips to
+find an accepted attempt again.  The writer's bytes go to a sink that
+keeps nothing."""
 
 import math
 import random
@@ -20,6 +22,8 @@ import pytest
 from boltzxml import (
     CeilingExceededError,
     Sampler,
+    SamplerConfig,
+    SizeWindow,
     bundled_grammar_path,
     compile_grammar,
     list_bundled_grammars,
@@ -27,7 +31,7 @@ from boltzxml import (
     parse_grammar_file,
     solve,
 )
-from boltzxml.sampler import _CHOICE, _CHOICE2, _SEQ
+from boltzxml.sampler import _CHOICE, _CHOICE2, _SEQ, _Stream
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 DATA = Path(__file__).parent / "data"
@@ -105,12 +109,15 @@ INLINE = {
 }
 
 
+SCHEMAS = sorted(path.stem for path in DATA.glob("schema-*.rng"))
+
+
 def _grammar(name):
     if name in INLINE:
         body, x = INLINE[name]
         return parse_grammar("<grammar %s>%s</grammar>" % (RNG, body)), x
-    if name == "schema-4-16-8":
-        return parse_grammar_file(DATA / "schema-4-16-8.rng"), "auto"
+    if name in SCHEMAS:
+        return parse_grammar_file(DATA / (name + ".rng")), "auto"
     x = 0.55 if name == "feed" else "auto"
     return parse_grammar_file(bundled_grammar_path(name)), x
 
@@ -157,18 +164,20 @@ def test_counting_plan_matches_event_plan(name):
         for ceiling in CEILINGS:
             rng_c = CountingRandom(seed)
             rng_e = CountingRandom(seed)
-            counted = sampler._count_walk(rng_c, ceiling)
+            counted, draws = sampler._count_walk(rng_c, ceiling)
             replayed = _replay_size(sampler, rng_e, ceiling, registry)
             sizes.add(counted)
-            if counted != replayed:
+            if counted != replayed or draws != rng_c.draws:
                 same = False
             elif counted >= 0:
                 # a finished walk: the same draws, to the generator state
                 same = rng_c.getstate() == rng_e.getstate()
             else:
                 # both streams come from one seed, so an aborted walk's
-                # draws are a prefix of the replay's when it made no more
-                same = rng_c.draws <= rng_e.draws
+                # draws are a prefix of the replay's when it made no more;
+                # the replay aborts on the size drawn, not the committed
+                # size, so it may draw on past the walk's abort
+                same = draws <= rng_e.draws
             if not same:
                 mismatches.append((seed, ceiling, counted, replayed))
     assert not mismatches, mismatches[:5]
@@ -197,7 +206,7 @@ def test_repetition_past_the_ceiling_aborts_after_its_draw():
             continue
         rng_c = CountingRandom(seed)
         rng_e = CountingRandom(seed)
-        assert feed._count_walk(rng_c, ceiling) == -1
+        assert feed._count_walk(rng_c, ceiling) == (-1, 2)
         assert rng_c.draws == 2
         assert _replay_size(feed, rng_e, ceiling, registry) == -1
         if feed.min_size + reps <= ceiling:
@@ -235,3 +244,55 @@ def test_fused_forms_are_built():
     assert len(three[1]) == len(three[2]) == 3
     (two,) = _sampler("not-allowed-branch")._count_start
     assert two[0] == _CHOICE2
+
+
+@pytest.mark.parametrize("name", sorted(list_bundled_grammars()) + SCHEMAS)
+def test_draws_skip_the_walk(name):
+    # the sampler finds an accepted attempt again by re-seeding the
+    # structure stream and skipping the draws of the attempts before it
+    sampler = _sampler(name)
+    sizes = set()
+    for ceiling in (3, 10**4):
+        rng = random.Random(ceiling)
+        twin = random.Random(ceiling)
+        for _ in range(400):
+            size, draws = sampler._count_walk(rng, ceiling)
+            sizes.add(size)
+            if draws:
+                twin.getrandbits(64 * draws)
+            assert twin.getstate() == rng.getstate(), (ceiling, size, draws)
+    assert -1 in sizes and len(sizes) > 1
+
+
+@pytest.mark.parametrize("draws", [0, 1, 2, 3, 255, 256, 257, 1000])
+def test_getrandbits_skips_uniforms(draws):
+    # random() takes two 32-bit words of the generator and
+    # getrandbits(64 k) exactly 2 k, on every supported Python
+    for seed in (0, 2**64 - 1):
+        drawn, skipped = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            drawn.random()
+        skipped.getrandbits(64 * draws)
+        assert skipped.getstate() == drawn.getstate()
+        # _Stream.rewind skips in calls of at most a few KB
+        stream = _Stream(seed)
+        stream.random()
+        stream.rewind(draws)
+        assert stream.getstate() == drawn.getstate()
+        assert skipped.random() == stream.random() == drawn.random()
+
+
+@pytest.mark.parametrize("name", ["ternary", "feed", "schema-4-16-8"])
+def test_stats_count_the_draws_of_every_attempt(name):
+    sampler = _sampler(name)
+    window = SizeWindow(40, 0.2)
+    for seed in range(20):
+        config = SamplerConfig(window=window, seed=seed)
+        stats = sampler.sample_to_sink(config, DiscardSink())
+        # the structure stream as _streams seeds it, counting its draws
+        master = random.Random(seed)
+        rng = CountingRandom(master.getrandbits(64))
+        for _ in range(stats.attempts):
+            sampler._count_walk(rng, window.upper)
+        assert stats.draws == rng.draws > 0
+        assert sampler.sample_in_window(config).draws == stats.draws

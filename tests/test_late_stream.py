@@ -313,7 +313,7 @@ def rewound_writer(sampler, window, seed, registry=None):
     """Accept an attempt, then return (size, write) where write(sink)
     replays it through the writer walk and may be called again."""
     rng_s, rng_v = sampler._streams(SamplerConfig(window=window, seed=seed))
-    _, size = sampler._accept_attempt(
+    _, size, _ = sampler._accept_attempt(
         rng_s, window.lower, window.upper, 10**4, []
     )
     state_s, state_v = rng_s.getstate(), rng_v.getstate()

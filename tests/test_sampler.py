@@ -3,6 +3,8 @@ two-pass replay machinery, and the walk that writes bytes to a sink."""
 
 import io
 import random
+import statistics
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -553,6 +555,32 @@ DUPLICATE = (
     '<start><element name="a"><group><attribute name="k"/>'
     '<attribute name="k"/></group></element></start>'
 )
+
+
+class DiscardSink:
+    """Binary sink that keeps no bytes."""
+
+    write = len
+
+
+def test_rejections_keep_no_copy_of_the_generator(grammars, oracles):
+    # a ternary document at 1000 rejects hundreds of attempts; finding the
+    # accepted one again re-seeds and skips, where a snapshot of the
+    # generator's state alone would take 24 KB
+    sampler = Sampler(grammars["ternary"], oracles["ternary"])
+    window = SizeWindow(1000, 0.1)
+    sink = DiscardSink()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for seed in range(9):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sampler.sample_to_sink(SamplerConfig(window=window, seed=seed), sink)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert statistics.median(peaks) < 24 * 1024, peaks
 
 
 def test_duplicate_attribute_raises_like_the_serializer():
