@@ -39,9 +39,10 @@ for i in range(200):
 print("validated %d/200 sampled feed documents" % good)
 print()
 
-# the matcher checks names, order and counts, so structural damage is
-# caught; leaf values are out of scope by design (the counting
-# semantics treat all values of a type alike)
+# the matcher checks names, child order and counts, with attributes in
+# any order, so structural damage is caught; leaf values are out of
+# scope by design (the counting semantics treat all values of a type
+# alike)
 sample = sampler.sample_in_window(
     SamplerConfig(window=SizeWindow(40, 0.5), seed=3)
 )

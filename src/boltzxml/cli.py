@@ -155,6 +155,7 @@ def cmd_sample(args):
     overrides = load_value_table(args.datatype_plugin) if args.datatype_plugin else None
     window = SizeWindow(args.size, args.tolerance)
     sampler.check_window(window)
+    sampler.registry_for(overrides)  # a missing datatype fails before any output
     if args.tolerance == 0.0:
         print(
             "warning: exact-size sampling (tolerance 0) has quadratic "

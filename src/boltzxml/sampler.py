@@ -378,53 +378,37 @@ class Sampler:
 
     def _min_sizes(self):
         """Smallest sizes: min_size for the start pattern, _mins for each
-        definition it reaches and _min_memo for each node.
+        definition and _min_memo for each node.
 
         A definition's smallest size is the least fixpoint of 1 + the
-        smallest size of its content.  The first pass sizes definitions
-        as references reach them, children first; a reference met while
-        its own definition is being sized reads infinity.  If any did,
-        rounds over the definitions in the order they were finished lower
-        the sizes until none moves.  Each round settles at least the
-        unsettled definition with the smallest size, whose smallest
-        document uses only smaller ones, and the last round leaves every
+        smallest size of its content.  Every definition starts at
+        infinity, and rounds over the definitions lower the sizes until a
+        round moves none; a reference reads its definition's size as it
+        stands.  Each round settles at least the unsettled definition with
+        the smallest size, whose smallest document uses only smaller ones,
+        and every round sizes every node, so the last one leaves each
         node's final size in _min_memo."""
-        start = self.grammar.start
-        self._mins = {}
-        self._min_memo = {}
-        self._min_order = []
-        self._provisional = False
-        self.min_size = self._min_of(start)
-        if not self._provisional:
-            return
         defines = self.grammar.defines
-        mins = self._mins
+        mins = self._mins = dict.fromkeys(defines, math.inf)
+        self._min_memo = {}
         moved = True
         while moved:
             moved = False
-            for name in self._min_order:
-                m = 1 + self._min_of(defines[name].content)
+            for name, body in defines.items():
+                m = 1 + self._min_of(body.content)
                 if m < mins[name]:
                     mins[name] = m
                     moved = True
-        self.min_size = self._min_of(start)
+        self.min_size = self._min_of(self.grammar.start)
 
     def _min_of(self, p):
         """Smallest size of a pattern, counting only branches that can be
-        drawn; infinite for a dead pattern.  Memoized into _min_memo."""
+        drawn; infinite for a dead pattern.  Recorded in _min_memo."""
         t = type(p)
         if t is ast.Group:
             m = self._min_of(p.left) + self._min_of(p.right)
         elif t is ast.Ref:
-            m = self._mins.get(p.name)
-            if m is None:
-                name = p.name
-                self._mins[name] = math.inf  # being sized
-                content = self.grammar.defines[name].content
-                m = self._mins[name] = 1 + self._min_of(content)
-                self._min_order.append(name)
-            elif m == math.inf:
-                self._provisional = True
+            m = self._mins[p.name]
         elif t is ast.Choice:
             m = math.inf
             for _, b in self._live_branches(p):

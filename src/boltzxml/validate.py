@@ -1,37 +1,29 @@
 """Structural re-validation of documents against a grammar.
 
-The matcher follows the pattern AST directly and checks structure only:
-element names, attribute names and their order, child order and counts.
-Leaf lexical content (text bodies, attribute values) is deliberately
-ignored, matching what the counting semantics distinguish.
+The matcher checks structure only: element names, attribute names, child
+order and counts.  Attributes match as a set, in any order, since XML
+gives their order no meaning (XML 1.0 section 3.1).  Leaf lexical content
+(text bodies, attribute values) is deliberately ignored, matching what
+the counting semantics distinguish.
+
+Children are matched before their parents, with an explicit stack, so the
+recursion follows only the grammar's nesting, never the document's.  Each
+document node gets the set of definitions' element patterns it matches,
+built from its children's sets; a reference in content is then a
+membership test on the child's set.  An element inside content, which
+from_canonical may leave, is matched when first asked and remembered.
 
 Accepts either DocNode trees or xml.etree elements.
 """
 
 from __future__ import annotations
 
-import sys
 from xml.etree import ElementTree
 
 from . import ast
 from .serialize import DocNode
 
 __all__ = ["matches"]
-
-
-def _doc_depth(doc):
-    depth = 0
-    stack = [(doc, 1)]
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        children = (
-            [c for c in node.children if isinstance(c, DocNode)]
-            if isinstance(node, DocNode)
-            else list(node)
-        )
-        stack.extend((c, d + 1) for c in children)
-    return depth
 
 
 def _split_ns(tag):
@@ -42,7 +34,7 @@ def _split_ns(tag):
 
 
 def _view(node):
-    """(ns, name, attribute names in order, element children)."""
+    """(ns, name, attribute names, element children)."""
     if isinstance(node, DocNode):
         return (
             None,
@@ -57,106 +49,101 @@ def _view(node):
     raise TypeError("cannot validate %r" % type(node).__name__)
 
 
-class _Matcher:
-    def __init__(self, grammar):
-        self.grammar = grammar
-        self.elem_memo = {}
+def _element_ok(p, view, child_ok):
+    """Whether a document node, seen as view, matches the element pattern
+    p.  child_ok(child, pattern) says whether an element child matches a
+    reference or an element in p's content."""
+    uri, local, attrs, children = view
+    if local not in (p.name, p.name.split(":")[-1]):
+        return False
+    if p.ns is not None and uri is not None and uri != p.ns:
+        return False
 
-    def match_element(self, node, pattern):
-        key = (id(node), id(pattern))
-        hit = self.elem_memo.get(key)
-        if hit is not None:
-            return hit
-        uri, local, attr_names, children = _view(node)
-        ok = local in (pattern.name, pattern.name.split(":")[-1])
-        if ok and pattern.ns is not None and uri is not None:
-            ok = uri == pattern.ns
-        if ok:
-            final = (len(attr_names), len(children))
-            states = self.states(pattern.content, (0, 0), attr_names, children)
-            ok = final in states
-        self.elem_memo[key] = ok
-        return ok
+    def states(q, current):
+        """The (mask of attributes used, children consumed) states
+        reachable by matching q from any state in current."""
+        if not current:
+            return current
+        t = type(q)
+        if t is ast.Group:
+            return states(q.right, states(q.left, current))
+        if t is ast.Choice:
+            return states(q.left, current) | states(q.right, current)
+        if t is ast.OneOrMore:
+            reached = frontier = states(q.child, current)
+            while frontier:
+                frontier = states(q.child, frontier) - reached
+                reached = reached | frontier
+            return reached
+        if t is ast.Attribute:
+            # any attribute of that name not used yet
+            names = (q.name, q.name.split(":")[-1])
+            out = set()
+            for i, name in enumerate(attrs):
+                if name in names:
+                    bit = 1 << i
+                    out.update((used | bit, c) for used, c in current if not used & bit)
+            return out
+        if t is ast.Ref or t is ast.Element:
+            return {
+                (used, c + 1)
+                for used, c in current
+                if c < len(children) and child_ok(children[c], q)
+            }
+        if t is ast.NotAllowed:
+            return set()
+        if t in (ast.Empty, ast.Text, ast.Data, ast.Value):
+            return current
+        raise TypeError("unexpected pattern %s" % t.__name__)
 
-    def states(self, pattern, state, attr_names, children):
-        """All (attrs consumed, children consumed) states reachable by
-        matching the pattern starting from the given state."""
-        memo = {}
-
-        def st(p, s):
-            key = (id(p), s)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            memo[key] = frozenset()  # cycle guard; cycles consume nothing
-            result = compute(p, s)
-            memo[key] = result
-            return result
-
-        def compute(p, s):
-            a, c = s
-            if isinstance(p, (ast.Empty, ast.Text, ast.Data, ast.Value)):
-                return frozenset((s,))
-            if isinstance(p, ast.NotAllowed):
-                return frozenset()
-            if isinstance(p, ast.Attribute):
-                if a < len(attr_names) and attr_names[a] in (
-                    p.name,
-                    p.name.split(":")[-1],
-                ):
-                    return frozenset(((a + 1, c),))
-                return frozenset()
-            if isinstance(p, ast.Ref):
-                body = self.grammar.defines[p.name]
-                if c < len(children) and self.match_element(children[c], body):
-                    return frozenset(((a, c + 1),))
-                return frozenset()
-            if isinstance(p, ast.Element):
-                if c < len(children) and self.match_element(children[c], p):
-                    return frozenset(((a, c + 1),))
-                return frozenset()
-            if isinstance(p, ast.Choice):
-                return st(p.left, s) | st(p.right, s)
-            if isinstance(p, ast.Group):
-                out = set()
-                for mid in st(p.left, s):
-                    out |= st(p.right, mid)
-                return frozenset(out)
-            if isinstance(p, ast.OneOrMore):
-                seen = set(st(p.child, s))
-                frontier = set(seen)
-                while frontier:
-                    nxt = set()
-                    for mid in frontier:
-                        nxt |= st(p.child, mid)
-                    frontier = nxt - seen
-                    seen |= nxt
-                return frozenset(seen)
-            raise TypeError("unexpected pattern %s" % type(p).__name__)
-
-        return st(pattern, state)
+    final = ((1 << len(attrs)) - 1, len(children))
+    return final in states(p.content, {(0, 0)})
 
 
 def matches(grammar, doc):
     """True when the document's structure is derivable from the grammar.
 
     doc is a DocNode or an xml.etree Element (the document root)."""
-    matcher = _Matcher(grammar)
+    defines = grammar.defines
+    by_name = {}  # a name a document node may carry -> definitions' elements
+    for body in defines.values():
+        for name in {body.name, body.name.split(":")[-1]}:
+            by_name.setdefault(name, []).append(body)
+    matched = {}  # id of a document node -> ids of the element patterns it matches
+    inline = {}  # (id of a document node, id of an inline element) -> verdict
 
-    def start_ok(pattern):
-        if isinstance(pattern, ast.Choice):
-            return start_ok(pattern.left) or start_ok(pattern.right)
-        if isinstance(pattern, ast.Ref):
-            return matcher.match_element(doc, grammar.defines[pattern.name])
-        return False
+    def child_ok(child, p):
+        if type(p) is ast.Ref:
+            return id(defines[p.name]) in matched[id(child)]
+        # an element inside content, as from_canonical may leave one
+        key = (id(child), id(p))
+        ok = inline.get(key)
+        if ok is None:
+            ok = inline[key] = _element_ok(p, _view(child), child_ok)
+        return ok
 
-    # matching recurses once per nesting level; deep documents need headroom
-    limit = sys.getrecursionlimit()
-    needed = 64 * _doc_depth(doc) + 1000
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    try:
-        return start_ok(grammar.start)
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
+    # children first; a node is pushed back with its view above its children
+    stack = [(doc, None)]
+    while stack:
+        node, view = stack.pop()
+        if id(node) in matched:
+            continue
+        if view is None:
+            view = _view(node)
+            stack.append((node, view))
+            stack.extend((c, None) for c in view[3])
+        else:
+            candidates = by_name.get(view[1], ())
+            matched[id(node)] = {
+                id(p) for p in candidates if _element_ok(p, view, child_ok)
+            }
+
+    root = matched[id(doc)]
+    todo = [grammar.start]
+    while todo:
+        p = todo.pop()
+        if type(p) is ast.Choice:
+            todo += (p.left, p.right)
+        elif type(p) is ast.Ref and id(defines[p.name]) in root:
+            return True
+    return False

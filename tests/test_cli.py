@@ -305,6 +305,28 @@ def test_plugin_value_outside_xml_leaves_no_output(workdir, tmp_path, capsys):
     assert not docs.exists()
 
 
+def test_missing_datatype_leaves_no_output(tmp_path, capsys):
+    grammar = tmp_path / "hex.rng"
+    grammar.write_text(
+        '<grammar xmlns="http://relaxng.org/ns/structure/1.0" '
+        'datatypeLibrary="http://www.w3.org/2001/XMLSchema-datatypes">'
+        '<start><element name="h"><data type="hexBinary"/></element></start>'
+        "</grammar>"
+    )
+    assert main(["compile", str(grammar)]) == EXIT_OK
+    assert main(["solve", str(tmp_path / "hex.gfs"), "--x", "0.5"]) == EXIT_OK
+    capsys.readouterr()
+    docs = tmp_path / "docs"
+    stats_path = tmp_path / "s.ndjson"
+    code = main([
+        "sample", str(grammar), str(tmp_path / "hex.oracle"),
+        "-n", "1", "-e", "0", "--out", str(docs), "--stats", str(stats_path),
+    ])
+    assert code == EXIT_INPUT
+    assert "hexBinary" in capsys.readouterr().err
+    assert not docs.exists() and not stats_path.exists()
+
+
 def test_all_documents_exhausted(workdir, tmp_path, capsys):
     # no ternary document has size 2
     docs = tmp_path / "docs"

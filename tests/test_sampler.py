@@ -145,13 +145,40 @@ def test_phase_timings_are_reported(grammars, oracles):
 
 def test_min_size_is_the_first_nonzero_count(grammars, systems, oracles):
     cases = [(grammars[name], systems[name], oracles[name]) for name in grammars]
-    schema = parse_grammar_file(Path(__file__).parent / "data" / "schema-4-16-8.rng")
-    system = compile_grammar(schema)
-    cases.append((schema, system, solve(system, "auto")))
+    for path in sorted((Path(__file__).parent / "data").glob("schema-*.rng")):
+        schema = parse_grammar_file(path)
+        system = compile_grammar(schema)
+        cases.append((schema, system, solve(system, "auto")))
     for grammar, system, oracle in cases:
         sampler = Sampler(grammar, oracle, system=system)
-        series = count_coefficients(system, 40).series()
-        assert sampler.min_size == next(n for n, c in enumerate(series) if c)
+        counts = count_coefficients(system, 40)
+        assert sampler.min_size == next(n for n, c in enumerate(counts.series()) if c)
+        sized = [name for name in grammar.defines if name in system.classes]
+        assert sized
+        for name in sized:
+            first = next(n for n, c in enumerate(counts.series(name)) if c)
+            assert sampler._mins[name] == first, (grammar.source, name)
+
+
+def test_smallest_sizes_do_not_recurse_along_references():
+    # 600 definitions, each optionally holding the next: a sizing that
+    # recursed along the chain would pass the default recursion limit
+    n = 600
+    body = "".join(
+        '<define name="d%d"><element name="d%d"><optional><ref name="d%d"/>'
+        "</optional></element></define>" % (i, i, i + 1)
+        for i in range(n - 1)
+    )
+    body += '<define name="d%d"><element name="d%d"><empty/></element></define>' % (
+        n - 1, n - 1,
+    )
+    grammar = parse_grammar(
+        "<grammar %s><start><ref name='d0'/></start>%s</grammar>" % (RNG, body)
+    )
+    system = compile_grammar(grammar)
+    sampler = Sampler(grammar, solve(system, 0.5), system=system)
+    assert sampler.min_size == 1
+    assert set(sampler._mins.values()) == {1}
 
 
 @pytest.mark.parametrize("method", ["sample_in_window", "sample_to_sink"])

@@ -1,6 +1,7 @@
 """Structural re-validation: accepts what the sampler can emit, rejects
 mutations of it."""
 
+import sys
 import xml.etree.ElementTree as ET
 
 from boltzxml import (
@@ -10,6 +11,7 @@ from boltzxml import (
     matches,
     parse_grammar,
 )
+from boltzxml.ast import from_canonical
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 
@@ -56,10 +58,15 @@ def test_missing_required_attribute(grammars):
     assert not matches(attrs, DocNode("item", (("lang", "en"),)))
 
 
-def test_attribute_order_is_significant(grammars):
+def test_attributes_match_in_any_order(grammars):
+    # XML gives attribute order no meaning (XML 1.0 section 3.1)
     attrs = grammars["attrs"]
     assert matches(attrs, DocNode("item", (("id", "7"), ("lang", "en"))))
-    assert not matches(attrs, DocNode("item", (("lang", "en"), ("id", "7"))))
+    assert matches(attrs, DocNode("item", (("lang", "en"), ("id", "7"))))
+    root = ET.fromstring(b'<item lang="en" id="7"/>')
+    assert matches(attrs, root)
+    # each declared attribute still takes one attribute of its name
+    assert not matches(attrs, DocNode("item", (("id", "7"), ("id", "8"))))
 
 
 def test_unexpected_extra_attribute(grammars):
@@ -147,3 +154,43 @@ def test_shared_subtrees_memoize():
     for _ in range(200):
         node = DocNode("t", (), (node, DocNode("t"), DocNode("t")))
     assert matches(grammar, node)
+
+
+def test_deep_documents_need_no_recursion_limit(monkeypatch):
+    # a chain 50 000 elements deep, as a DocNode and as an etree element
+    grammar = g(
+        "<start><ref name='a'/></start>"
+        '<define name="a"><element name="a"><attribute name="k"><text/>'
+        '</attribute><optional><ref name="a"/></optional></element></define>'
+    )
+    depth = 50_000
+
+    def refuse(limit):
+        raise AssertionError("setrecursionlimit called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    node = DocNode("a", (("k", ""),))
+    for _ in range(depth - 1):
+        node = DocNode("a", (("k", ""),), (node,))
+    assert matches(grammar, node)
+    assert not matches(grammar, DocNode("a", (("k", ""),), (node, node)))
+    text = b'<a k="">' * depth + b"</a>" * depth
+    assert matches(grammar, ET.fromstring(text))
+
+
+def test_inline_element_patterns():
+    # from_canonical keeps an element pattern inside content as it is
+    grammar = from_canonical(
+        "start\n"
+        '  ref "r"\n'
+        'define "r"\n'
+        '  element "r"\n'
+        "    oneOrMore\n"
+        '      element "c"\n'
+        '        attribute "x"\n'
+        "          text\n"
+    )
+    child = DocNode("c", (("x", "1"),))
+    assert matches(grammar, DocNode("r", (), (child, child)))
+    assert not matches(grammar, DocNode("r", (), (child, DocNode("c"))))
+    assert not matches(grammar, DocNode("r"))
