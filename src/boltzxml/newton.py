@@ -22,11 +22,14 @@ convergent point as divergent.  Past rho a run can also end with values
 above the ceiling, a singular Newton matrix, a fixed point with negative
 components, or no convergence within the iteration cap, the backstop for
 the runs in which no step falls.  Convergence is relative in the same way:
-every |d_i| < TOLERANCE * max(1, |Y_i|), then an absolute residual below
-TOLERANCE.  Near rho, I - J is nearly singular and the steps keep a
-rounding noise of order eps |Y| / (1 - lambda), lambda the Perron root of
-J; an absolute step test there never passed on some systems with values
-near 100, and called converged points divergent.
+every |d_i| < TOLERANCE * max(1, |Y_i|), then a residual |Phi(Y) - Y|
+below TOLERANCE * max(1, max |Y|).  Near rho, I - J is nearly singular and
+the steps keep a rounding noise of order eps |Y| / (1 - lambda), lambda the
+Perron root of J; an absolute step test there never passed on some systems
+with values near 100, and called converged points divergent.  Rounding
+keeps the residual itself of order eps max |Y|: at values near 8e3 it
+stays at 1.8e-12 or more, so an absolute residual test ran on to the
+iteration cap and called that point divergent too.
 
 The singularity is located in two stages.  Bisection over [0, 1] narrows
 it to COARSE_WIDTH.  For a grammar with a square-root singularity, Y stays
@@ -46,11 +49,11 @@ so the values, and with them every oracle, are those of the loop bit for
 bit.  numpy is imported on first use, so importing the package, or
 sampling from a saved oracle, does not load it.
 
-Constants: tolerance 1e-12 on both the update (relative) and the residual,
-value ceiling 1e8, iteration cap 500, falling-step tolerance 1e-6, coarse
-bisection over [0, 1] to a width of 2^-8, augmented steps to a relative
-1e-10 within 15 iterations, final bracket width 1e-8, automatic evaluation
-point rho_lower * (1 - 1e-7).
+Constants: tolerance 1e-12 on both the update and the residual (both
+relative), value ceiling 1e8, iteration cap 500, falling-step tolerance
+1e-6, coarse bisection over [0, 1] to a width of 2^-8, augmented steps to
+a relative 1e-10 within 15 iterations, final bracket width 1e-8,
+automatic evaluation point rho_lower * (1 - 1e-7).
 """
 
 from __future__ import annotations
@@ -301,7 +304,7 @@ def newton_evaluate(system, x):
             )
         if (np.abs(delta) < TOLERANCE * scale).all():
             residual = float(np.max(np.abs(num.phi(bound, Y) - Y)))
-            if residual >= TOLERANCE:
+            if residual >= TOLERANCE * float(scale.max()):
                 continue
             if np.min(Y) < -1e-9:
                 raise DivergedError(

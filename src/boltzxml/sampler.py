@@ -10,13 +10,17 @@ every document of that size is equally likely.
 
 Size control is rejection in a window [n(1-eps), n(1+eps)]: a cheap
 counting pass draws only structure and aborts as soon as no document can
-fit under the upper bound.  Its plan holds only the draws, choices and
-repetitions; draw-free content has no op, its size being counted as part
-of the smallest size of the pattern around it.  The pass tracks the
-committed size, the size drawn so far plus the smallest size of every op
-still pending, and aborts once that passes the upper bound (the early
-abort of ceiled rejection, Duchon, Flajolet, Louchard & Schaeffer 2004,
-tightened as in anticipated rejection, Bodini, Lumbroso & Rolin 2015).
+fit under the upper bound.  Its plan is the replay's event plan with the
+draw-free ops removed: choices, repetitions and dead ends keep an op, and
+the rest is counted as part of the smallest size of the ops around it.
+The smallest sizes and the counting plan are both read off the event
+plan, so the two walks agree on which nodes draw by construction, and no
+pass recurses along references, so a grammar with a deep chain of
+definitions compiles and samples.  The pass tracks the committed size,
+the size drawn so far plus the smallest size of every op still pending,
+and aborts once that passes the upper bound (the early abort of ceiled
+rejection, Duchon, Flajolet, Louchard & Schaeffer 2004, tightened as in
+anticipated rejection, Bodini, Lumbroso & Rolin 2015).
 A finished pass makes the replay's draws; an aborted one makes a prefix
 of the draws of a replay that would pass the bound, so the accepted
 documents keep their law.  Aborting on the committed size rather than on
@@ -127,7 +131,7 @@ class WindowSample:
     size: int
     attempts: int
     draws: int  # uniforms drawn by the counting pass, all attempts
-    sizes: list = field(repr=False)  # per-attempt sizes, -1 for early aborts
+    histogram: Counter = field(repr=False)  # attempts per size, -1 for aborts
     count_seconds: float  # time spent in the counting pass
 
 
@@ -137,7 +141,7 @@ class StreamStats:
     attempts: int
     draws: int  # uniforms drawn by the counting pass, all attempts
     bytes_written: int
-    sizes: list = field(repr=False)
+    histogram: Counter = field(repr=False)  # attempts per size, -1 for aborts
     count_seconds: float  # time spent in the counting pass
     write_seconds: float  # time spent generating and writing the bytes
 
@@ -186,7 +190,6 @@ class Sampler:
         self.x = oracle.x
         self.used_types = set()
         self._weight_memo = {}
-        self._live_memo = {}
         self._build_plan()
 
     # -- weights ----------------------------------------------------------
@@ -226,28 +229,34 @@ class Sampler:
     # -- plan construction ------------------------------------------------
 
     def _build_plan(self):
-        """Build the event plan and the counting plan from the grammar.
+        """Build the event plan, then the smallest sizes and the counting
+        plan from it.
 
         Event ops per definition are (_ELEM, head, children, end, name);
         head is the encoded '<name' with any xmlns, end the shared
         (_END, b'</name>').  A late definition, one whose element can take
         an attribute after content, has (_LATE_ELEM, ...) with the end
         (_LATE_END, b'</name>', head), and its attributes are _LATE_ATTR
-        ops.
+        ops.  Compiling the events decides everything about the draws:
+        which branches of a choice are live, when a choice of one live
+        branch or a repetition of a weightless child is no draw at all,
+        and each choice's CDF.
 
-        The counting plan holds only draws: a choice, a repetition or a
-        dead end.  Everything else is counted up front, as part of the
-        smallest size of the pattern around it, so a reference is replaced
-        by its definition's draws and a draw-free element has no op at
-        all.  The walk counts an op's smallest size when it pushes the op;
-        after its draw, a choice adds its branch's excess over the
-        smallest branch and a repetition of reps adds (reps - 1) times its
-        child's smallest size, and the walk aborts once that committed
-        size passes the ceiling.  The ops run in the order of the event
-        ops' draws, so a walk that ends makes the same draws; one that
-        aborts stops earlier than the replay would, which changed the
-        accepted attempt of most seeds when this rule came in."""
+        The counting plan is the event plan with the draw-free ops
+        removed: a choice, a repetition or a dead end keeps its op, with
+        the event op's CDF or log ratio, and everything else is counted up
+        front, as part of the smallest size of the ops around it, so an
+        element is replaced by its definition's draws and a draw-free
+        element has no op at all.  The walk counts an op's smallest size
+        when it pushes the op; after its draw, a choice adds its branch's
+        excess over the smallest branch and a repetition of reps adds
+        (reps - 1) times its child's smallest size, and the walk aborts
+        once that committed size passes the ceiling.  The ops run in the
+        order of the event ops' draws, so a walk that ends makes the same
+        draws; one that aborts stops earlier than the replay would, which
+        changed the accepted attempt of most seeds when this rule came in."""
         self._event_elem = {}
+        self._def_of = {}  # id of an element op -> its definition
         g = self.grammar
         self.late = frozenset(
             name for name, body in g.defines.items()
@@ -263,22 +272,33 @@ class Sampler:
                 op = (_LATE_ELEM, head, [], (_LATE_END, end, head))
             else:
                 op = (_ELEM, head, [], (_END, end))
-            self._event_elem[name] = op + (body.name,)
+            op += (body.name,)
+            self._event_elem[name] = op
+            self._def_of[id(op)] = name
         for name, body in g.defines.items():
             self._event_elem[name][2].extend(
                 _rev(self._compile_events(body.content, name in self.late))
             )
         self._event_start = _rev(self._compile_events(g.start))
         self._min_sizes()
-        # a choice's branches and a repetition's child are compiled after
-        # the op that holds them, so a recursive definition can refer to
-        # its own ops
+        # definitions in increasing order of smallest size: an element
+        # outside any choice or repetition is smaller than the definition
+        # holding it, so its ops are built before they are read.  A
+        # choice's branches and a repetition's child are filled in last,
+        # so a recursive definition can refer to its own ops.
+        mins = self._mins
         self._count_defs = {}
         todo = []
-        self._count_start = _rev(self._count_ops(g.start, [], todo))
+        for name in sorted(mins, key=mins.get):
+            # a draw-free cycle never ends, so its size is infinite
+            self._count_defs[name] = (
+                self._count_ops(self._event_elem[name][2], todo)
+                if mins[name] < math.inf else ((_DEAD,),)
+            )
+        self._count_start = tuple(self._count_ops(self._event_start, todo))
         while todo:
-            ops, p = todo.pop()
-            ops.extend(_rev(self._count_ops(p, [], todo)))
+            ops, events = todo.pop()
+            ops.extend(self._count_ops(events, todo))
 
     def _scan_late(self, p, element):
         """(attribute names, can emit content, attribute after content)
@@ -315,22 +335,12 @@ class Sampler:
             return ca
         raise SamplingError("unexpected pattern %s" % type(p).__name__)
 
-    def _flatten_choice(self, p, out):
-        if isinstance(p, ast.Choice):
-            self._flatten_choice(p.left, out)
-            self._flatten_choice(p.right, out)
-        else:
-            out.append((self.weight(p), p))
-
     def _live_branches(self, p):
-        """(weight, branch) pairs of a choice with positive weight."""
-        key = id(p)
-        live = self._live_memo.get(key)
-        if live is None:
-            branches = []
-            self._flatten_choice(p, branches)
-            live = self._live_memo[key] = [(w, b) for w, b in branches if w > 0.0]
-        return live
+        """(weight, branch) pairs of a choice's branches of positive weight."""
+        if isinstance(p, ast.Choice):
+            return self._live_branches(p.left) + self._live_branches(p.right)
+        w = self.weight(p)
+        return [(w, p)] if w > 0.0 else []
 
     def _compile_events(self, p, late=False):
         """Compile a pattern into event ops, execution order.  late is
@@ -377,110 +387,83 @@ class Sampler:
         raise SamplingError("unexpected pattern %s" % type(p).__name__)
 
     def _min_sizes(self):
-        """Smallest sizes: min_size for the start pattern, _mins for each
-        definition and _min_memo for each node.
+        """Smallest sizes: min_size for the start ops and _mins for each
+        definition.
 
         A definition's smallest size is the least fixpoint of 1 + the
-        smallest size of its content.  Every definition starts at
-        infinity, and rounds over the definitions lower the sizes until a
-        round moves none; a reference reads its definition's size as it
+        smallest size of its element's children.  Every definition starts
+        at infinity, and rounds over the definitions lower the sizes until
+        a round moves none; an element reads its definition's size as it
         stands.  Each round settles at least the unsettled definition with
-        the smallest size, whose smallest document uses only smaller ones,
-        and every round sizes every node, so the last one leaves each
-        node's final size in _min_memo."""
-        defines = self.grammar.defines
-        mins = self._mins = dict.fromkeys(defines, math.inf)
-        self._min_memo = {}
+        the smallest size, whose smallest document uses only smaller
+        ones.  The system lists the definitions in preorder from the
+        start; rounds take them last to first, so a chain of definitions
+        settles in one round however the grammar orders them."""
+        elems = self._event_elem
+        mins = self._mins = dict.fromkeys(elems, math.inf)
+        rank = {name: i for i, name in enumerate(self.system.classes)}
+        order = sorted(elems, key=lambda name: rank.get(name, -1), reverse=True)
         moved = True
         while moved:
             moved = False
-            for name, body in defines.items():
-                m = 1 + self._min_of(body.content)
+            for name in order:
+                m = 1 + self._min_of(elems[name][2])
                 if m < mins[name]:
                     mins[name] = m
                     moved = True
-        self.min_size = self._min_of(self.grammar.start)
+        self.min_size = self._min_of(self._event_start)
 
-    def _min_of(self, p):
-        """Smallest size of a pattern, counting only branches that can be
-        drawn; infinite for a dead pattern.  Recorded in _min_memo."""
-        t = type(p)
-        if t is ast.Group:
-            m = self._min_of(p.left) + self._min_of(p.right)
-        elif t is ast.Ref:
-            m = self._mins[p.name]
-        elif t is ast.Choice:
-            m = math.inf
-            for _, b in self._live_branches(p):
-                v = self._min_of(b)
-                if v < m:
-                    m = v
-        elif t is ast.Attribute:
-            m = 1  # its value comes from the value stream
-        elif t is ast.OneOrMore:
-            m = self._min_of(p.child) if self.weight(p.child) > 0.0 else math.inf
-        elif t is ast.NotAllowed:
-            m = math.inf
-        else:
-            m = 0  # empty, text and values draw from the value stream
-        self._min_memo[id(p)] = m
+    def _min_of(self, ops):
+        """Smallest size of a list of event ops: an element counts its
+        definition's, an attribute 1, a choice its smallest branch's and a
+        repetition its child's; infinite with a dead end.  Text and values
+        come from the value stream and count 0."""
+        m = 0
+        for op in ops:
+            k = op[0]
+            if k == _ELEM or k == _LATE_ELEM:
+                m += self._mins[self._def_of[id(op)]]
+            elif k == _ATTR or k == _LATE_ATTR:
+                m += 1
+            elif k == _CHOICE:
+                m += min(map(self._min_of, op[2]))
+            elif k == _SEQ:
+                m += self._min_of(op[2])
+            elif k == _DEAD:
+                return math.inf
         return m
 
-    def _count_ops(self, p, out, todo):
-        """Append a pattern's counting ops to out, in execution order, and
-        return out.  The op of a choice or a repetition gets empty lists
-        for its branches or child; each goes on todo with its pattern, to
-        be compiled into it."""
-        t = type(p)
-        if t is ast.Group:
-            self._count_ops(p.left, out, todo)
-            self._count_ops(p.right, out, todo)
-        elif t is ast.Ref:
-            ops = self._count_defs.get(p.name)
-            if ops is None:
-                # a draw-free cycle never ends, so its size is infinite
-                if self._mins[p.name] == math.inf:
-                    ops = ((_DEAD,),)
+    def _count_ops(self, ops, todo):
+        """The counting ops of a list of event ops, in the same stack
+        order.  An element's are its definition's, built before.  A choice
+        or a repetition gets empty lists for its branches or child, each
+        put on todo with its event ops to be filled in.  Any other op
+        makes no draw: its size is in the smallest size of the ops around
+        it."""
+        out = []
+        for op in ops:
+            k = op[0]
+            if k == _ELEM or k == _LATE_ELEM:
+                out += self._count_defs[self._def_of[id(op)]]
+            elif k == _CHOICE:
+                sizes = [self._min_of(b) for b in op[2]]
+                low = min(sizes)
+                excess = [m - low for m in sizes]
+                branches = [[] for _ in sizes]
+                todo += zip(branches, op[2])
+                if len(branches) == 2:
+                    out.append((
+                        _CHOICE2, op[1][0], excess[0], branches[0], excess[1],
+                        branches[1],
+                    ))
                 else:
-                    content = self.grammar.defines[p.name].content
-                    ops = self._count_ops(content, [], todo)
-                self._count_defs[p.name] = ops
-            out.extend(ops)
-        elif t is ast.Choice:
-            live = self._live_branches(p)
-            if len(live) == 1:
-                return self._count_ops(live[0][1], out, todo)
-            if not live:
-                out.append((_DEAD,))
-                return out
-            memo = self._min_memo
-            low = memo[id(p)]
-            excess, branches = [], []
-            for _, b in live:
-                excess.append(memo[id(b)] - low)
-                branches.append([])
-                todo.append((branches[-1], b))
-            cps = _choice_cdf(live)
-            if len(live) == 2:
-                out.append((
-                    _CHOICE2, cps[0], excess[0], branches[0], excess[1], branches[1]
-                ))
-            else:
-                out.append((_CHOICE, cps, tuple(branches), tuple(excess)))
-        elif t is ast.OneOrMore:
-            ratio = self.weight(p.child)
-            if ratio <= 0.0:
-                out.append((_DEAD,))
-            else:
+                    out.append((_CHOICE, op[1], tuple(branches), tuple(excess)))
+            elif k == _SEQ:
                 child = []
-                todo.append((child, p.child))
-                out.append(
-                    (_SEQ, math.log(ratio), child, self._min_memo[id(p.child)])
-                )
-        elif t is ast.NotAllowed:
-            out.append((_DEAD,))
-        # anything else makes no draw: its size is in the smallest size
-        # of the pattern around it
+                todo.append((child, op[2]))
+                out.append((_SEQ, op[1], child, self._min_of(op[2])))
+            elif k == _DEAD:
+                out.append(op)
         return out
 
     def _compile_value(self, p):
@@ -589,8 +572,10 @@ class Sampler:
             return size, pushed
         return -1, pushed - len(stack)
 
-    def _accept_attempt(self, rng_s, lower, upper, max_attempts, sizes):
-        """Run counting attempts until one lands inside [lower, upper].
+    def _accept_attempt(self, rng_s, lower, upper, max_attempts, histogram):
+        """Run counting attempts until one lands inside [lower, upper],
+        counting each attempt's size, -1 for an abort, in the Counter
+        histogram.
 
         Returns (attempt, size, draws), draws being the uniforms all
         attempts drew; raises ExhaustedError when the budget runs out.
@@ -598,17 +583,16 @@ class Sampler:
         and skips the rejected attempts' draws, which leaves it at the
         accepted attempt's first draw for the replay pass with no copy of
         the generator's state kept."""
-        note = sizes.append
         walk = self._count_walk
         skipped = 0
         for attempt in range(1, max_attempts + 1):
             size, draws = walk(rng_s, upper)
-            note(size)
+            histogram[size] += 1
             if lower <= size:
                 rng_s.rewind(skipped)
                 return attempt, size, skipped + draws
             skipped += draws
-        raise ExhaustedError(max_attempts, Counter(sizes))
+        raise ExhaustedError(max_attempts, histogram)
 
     def _sample_value(self, plan, rng, registry):
         tag = plan[0]
@@ -805,7 +789,7 @@ class Sampler:
         stats = self.sample_to_sink(config, buf)
         return WindowSample(
             _parse_events(buf.getvalue()), stats.size, stats.attempts,
-            stats.draws, stats.sizes, stats.count_seconds,
+            stats.draws, stats.histogram, stats.count_seconds,
         )
 
     def sample_to_sink(self, config, sink, *, xml_declaration=False):
@@ -820,10 +804,10 @@ class Sampler:
         self.check_window(window)
         upper = window.upper
         rng_s, rng_v = self._streams(config)
-        sizes = []
+        histogram = Counter()
         started = time.perf_counter()
         attempt, size, draws = self._accept_attempt(
-            rng_s, window.lower, upper, config.max_attempts, sizes
+            rng_s, window.lower, upper, config.max_attempts, histogram
         )
         counted = time.perf_counter()
         written = 0
@@ -832,7 +816,7 @@ class Sampler:
             written = len(XML_DECLARATION)
         written += self._walk_write(rng_s, rng_v, upper, registry, sink)[0]
         return StreamStats(
-            size, attempt, draws, written, sizes,
+            size, attempt, draws, written, histogram,
             counted - started, time.perf_counter() - counted,
         )
 

@@ -141,7 +141,9 @@ class _Compiler:
         self.seq_serial = 0
 
     def class_order(self):
-        """Definitions reachable from the start pattern, depth first."""
+        """Definitions reachable from the start pattern, depth first in
+        preorder.  A reference is skipped when it comes off the stack
+        already seen, which keeps a recursive walk's order."""
         order = []
         seen = set()
 
@@ -150,16 +152,13 @@ class _Compiler:
                 n.name for n in ast.iter_nodes(pattern) if isinstance(n, ast.Ref)
             ]
 
-        def visit(name):
-            if name in seen:
-                return
-            seen.add(name)
-            order.append(name)
-            for ref in refs_of(self.grammar.defines[name]):
-                visit(ref)
-
-        for ref in refs_of(self.grammar.start):
-            visit(ref)
+        stack = refs_of(self.grammar.start)[::-1]
+        while stack:
+            name = stack.pop()
+            if name not in seen:
+                seen.add(name)
+                order.append(name)
+                stack.extend(reversed(refs_of(self.grammar.defines[name])))
         return order
 
     def poly(self, pattern):
@@ -246,12 +245,14 @@ class _Compiler:
         return system
 
     def prune_empty(self, start_name):
-        """Drop classes whose generating function is identically zero."""
+        """Drop classes whose generating function is identically zero.
+        Rounds run last to first, which settles a chain of definitions,
+        listed in preorder from the start, in one round."""
         nonempty = set()
         changed = True
         while changed:
             changed = False
-            for name in self.classes:
+            for name in reversed(self.classes):
                 if name in nonempty:
                     continue
                 for (xexp, powers), coeff in self.equations[name].items():

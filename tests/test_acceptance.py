@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -370,9 +371,8 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
             rng_s, rng_v = sampler._streams(
                 SamplerConfig(window=window, seed=seed)
             )
-            sizes = []
             attempt, size, _ = sampler._accept_attempt(
-                rng_s, window.lower, window.upper, 10**6, sizes
+                rng_s, window.lower, window.upper, 10**6, Counter()
             )
             state_s = rng_s.getstate()
             state_v = rng_v.getstate()

@@ -99,7 +99,7 @@ def test_enumerate_matches_coefficients(grammars, systems):
     # the bundled grammars to size 7, and the frozen schemas to size 12;
     # texts are distinct only for the bundled ones, since each derivation
     # is listed once and schema-6-12-4 has two derivations of one text at 8
-    assert len(SCHEMAS) == 4
+    assert len(SCHEMAS) == 5
     cases = [
         (name, grammars[name], systems[name], 7)
         for name in ("ternary", "binary", "attrs", "oneormore", "feed")

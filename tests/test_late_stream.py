@@ -15,6 +15,7 @@ import io
 import math
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -115,7 +116,7 @@ def reference_sample(sampler, config):
     window = config.window
     rng_s, rng_v = sampler._streams(config)
     sampler._accept_attempt(
-        rng_s, window.lower, window.upper, config.max_attempts, []
+        rng_s, window.lower, window.upper, config.max_attempts, Counter()
     )
     registry = sampler.registry_for(config.registry)
     return reference_events(sampler, rng_s, rng_v, window.upper, registry)[0]
@@ -314,7 +315,7 @@ def rewound_writer(sampler, window, seed, registry=None):
     replays it through the writer walk and may be called again."""
     rng_s, rng_v = sampler._streams(SamplerConfig(window=window, seed=seed))
     _, size, _ = sampler._accept_attempt(
-        rng_s, window.lower, window.upper, 10**4, []
+        rng_s, window.lower, window.upper, 10**4, Counter()
     )
     state_s, state_v = rng_s.getstate(), rng_v.getstate()
     registry = sampler.registry_for(registry)

@@ -255,6 +255,22 @@ def test_generated_bracket_invariant(name):
         newton_evaluate(system, est.upper)
 
 
+def test_auto_solve_converges_where_values_are_large():
+    # one probe of this schema's singularity search converges to values
+    # near 1.3e4, where rounding keeps |Phi(Y) - Y| at 1.8e-12; an absolute
+    # 1e-12 residual test ran it to the iteration cap, called it divergent
+    # and made solve(x="auto") raise
+    system = generated_system("38-6-6")
+    probe = newton_evaluate(system, 0.69417534532349778)
+    assert probe.residual > 1e-12 and probe.iterations < 10
+    assert max(probe.values.values()) > 8e3
+    oracle = solve(system, "auto")
+    assert oracle.x < oracle.rho_lower <= oracle.rho_upper
+    assert oracle.rho_upper - oracle.rho_lower <= BRACKET_WIDTH
+    with pytest.raises(DivergedError):
+        newton_evaluate(system, oracle.rho_upper)
+
+
 @pytest.mark.parametrize("name", ["4-16-8", "13-80-16"])
 def test_auto_solve_stays_within_newton_run_budget(name):
     # a count of Newton runs stands in for a wall-clock gate: the probe at

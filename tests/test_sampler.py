@@ -126,10 +126,12 @@ def test_window_sample_fields(grammars, oracles):
     window = SizeWindow(25, 0.2)
     sample = sampler.sample_in_window(SamplerConfig(window=window, seed=5))
     assert window.lower <= sample.size <= window.upper
-    assert sample.attempts == len(sample.sizes)
-    assert sample.sizes[-1] == sample.size
-    for s in sample.sizes[:-1]:
-        assert s == -1 or s < window.lower
+    histogram = sample.histogram
+    assert sum(histogram.values()) == sample.attempts > 1
+    # the accepted attempt is the only one inside the window; every other
+    # aborted (-1) or finished below it
+    inside = {s: c for s, c in histogram.items() if s >= window.lower}
+    assert inside == {sample.size: 1}
     # the serialized event stream has exactly `size` element starts
     n_elems = sum(1 for e in sample.events if isinstance(e, StartElement))
     assert n_elems == sample.size  # ternary has no attributes
@@ -160,25 +162,50 @@ def test_min_size_is_the_first_nonzero_count(grammars, systems, oracles):
             assert sampler._mins[name] == first, (grammar.source, name)
 
 
-def test_smallest_sizes_do_not_recurse_along_references():
-    # 600 definitions, each optionally holding the next: a sizing that
-    # recursed along the chain would pass the default recursion limit
-    n = 600
+def chain(n, child):
+    """Definitions d0 ... d(n-1), each element holding child, a pattern
+    around the reference %s to the next one; the last is empty."""
     body = "".join(
-        '<define name="d%d"><element name="d%d"><optional><ref name="d%d"/>'
-        "</optional></element></define>" % (i, i, i + 1)
+        '<define name="d%d"><element name="d%d">%s</element></define>'
+        % (i, i, child % ('<ref name="d%d"/>' % (i + 1)))
         for i in range(n - 1)
     )
     body += '<define name="d%d"><element name="d%d"><empty/></element></define>' % (
         n - 1, n - 1,
     )
-    grammar = parse_grammar(
-        "<grammar %s><start><ref name='d0'/></start>%s</grammar>" % (RNG, body)
-    )
+    return g("<start><ref name='d0'/></start>" + body)
+
+
+def test_smallest_sizes_do_not_recurse_along_references():
+    # 600 definitions, each optionally holding the next: a sizing that
+    # recursed along the chain would pass the default recursion limit
+    grammar = chain(600, "<optional>%s</optional>")
     system = compile_grammar(grammar)
     sampler = Sampler(grammar, solve(system, 0.5), system=system)
     assert sampler.min_size == 1
     assert set(sampler._mins.values()) == {1}
+
+
+def test_a_long_chain_of_required_definitions_compiles_and_samples():
+    # 3000 definitions, each holding the next: the compiler's class order
+    # and the counting plan's build once recursed along the chain and
+    # passed the default recursion limit near 1000
+    n = 3000
+    grammar = chain(n, "%s")
+    system = compile_grammar(grammar)
+    assert system.classes == ["d%d" % i for i in range(n)]
+    sampler = Sampler(grammar, solve(system, 0.5), system=system)
+    assert sampler.min_size == n and sampler._count_start == ()
+    sink = io.BytesIO()
+    config = SamplerConfig(window=SizeWindow(n, 0.0), seed=1)
+    stats = sampler.sample_to_sink(config, sink)
+    assert (stats.size, stats.attempts, stats.draws) == (n, 1, 0)
+    names = ["d%d" % i for i in range(n)]
+    assert sink.getvalue() == (
+        "".join("<%s>" % name for name in names[:-1])
+        + "<%s/>" % names[-1]
+        + "".join("</%s>" % name for name in reversed(names[:-1]))
+    ).encode()
 
 
 @pytest.mark.parametrize("method", ["sample_in_window", "sample_to_sink"])
