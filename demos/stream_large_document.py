@@ -6,8 +6,9 @@ Generation is two passes: a counting pass that only sizes candidate
 documents, and a second walk that re-runs the accepted draw.  That walk
 writes the document's bytes straight to the sink as it goes, with no
 event objects in between.  Only an element whose attributes can follow
-its content holds back its subtree until its start tag is complete, so
-memory stays flat no matter how large the document grows.
+its content holds back its subtree until its start tag is complete, and
+a repetition holds at most 64 copies of its child's ops at a time, so
+memory follows the tree's depth, not the document's size.
 """
 
 import tempfile

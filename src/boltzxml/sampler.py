@@ -33,14 +33,18 @@ which writes the document's UTF-8 bytes while it is generated, with no
 event objects in between.  An element whose attributes can follow its
 content (a late element) has its start tag held back until it ends, so
 the bytes beneath the outermost open late element wait in one buffer;
-all others go straight to the sink.  sample_in_window and free_sample
-write to a buffer and parse the bytes into events (_parse_events):
-adjacent texts arrive as one TextContent, an empty text beside other
-content is absent, and an element written as <b></b> keeps one empty
-TextContent.
+all others go straight to the sink.  Both walks push a repetition's
+copies of its child a chunk at a time, under a frame that pushes the
+next chunk when it is popped, so a document's memory follows its depth
+times the chunk times a child's ops, plus the largest late subtree, plus
+one generator state while counting and two while writing, not its
+length.  sample_in_window and free_sample write to a buffer and parse
+the bytes into events (_parse_events): adjacent texts arrive as one
+TextContent, an empty text beside other content is absent, and an
+element written as <b></b> keeps one empty TextContent.
 
 Values come from a second random stream so the counting pass stays
-aligned with the replay.
+aligned with the replay; it is built from its seed only for the replay.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ __all__ = [
 DEFAULT_MAX_ATTEMPTS = 10000
 DEFAULT_FREE_CEILING = 10_000_000
 _SKIP_CHUNK = 256  # uniforms per getrandbits call of _Stream.rewind, 2 KB
+_REP_CHUNK = 64  # copies of a repetition's child pushed at once
 
 
 @dataclass(frozen=True)
@@ -158,10 +163,13 @@ class StreamStats:
 # _CHOICE2 decides with one compare, u < p0, where _CHOICE scans its CDF.
 # Most choices have two live branches (optional, zeroOrMore, recursion or
 # leaf), and the counting walk is mostly choices, so it pays for itself.
+# Both walks push at most _REP_CHUNK copies of a repetition's child at a
+# time, under one [_REPEAT, copies left, child] frame that pushes the next
+# chunk when it is popped; a frame draws nothing.
 (
     _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END, _DEAD, _CHOICE2,
-    _LATE_ELEM, _LATE_END, _LATE_ATTR,
-) = range(12)
+    _LATE_ELEM, _LATE_END, _LATE_ATTR, _REPEAT,
+) = range(13)
 
 
 def _rev(ops):
@@ -509,9 +517,10 @@ class Sampler:
         walk that ends makes the replay walk's structure draws in the
         same order and returns the same size; an aborted one has made a
         prefix of the draws after which it raises CeilingExceededError.
-        Every op draws one uniform, so draws, the number of rng.random()
-        calls the walk made, is the number of ops it pushed less those
-        still on the stack."""
+        Every op but a repetition frame draws one uniform, so draws, the
+        number of rng.random() calls the walk made, is the number of ops
+        it pushed less those still on the stack, a frame counting as
+        pushed only while it is on the stack."""
         size = self.min_size
         if size > ceiling:
             return -1, 0
@@ -547,8 +556,12 @@ class Sampler:
                         break
                 child = op[2]
                 if child:
-                    # one extend per item: child * reps would be a second
-                    # copy of the items, as large as the stack's growth
+                    if reps > _REP_CHUNK:
+                        stack.append([_REPEAT, reps - _REP_CHUNK, child])
+                        pushed += 1
+                        reps = _REP_CHUNK
+                    # a chunk now and the rest from the frame, so the
+                    # stack follows the depth, not the number of copies
                     for _ in range(reps):
                         stack.extend(child)
                     pushed += reps * len(child)
@@ -566,6 +579,18 @@ class Sampler:
                 if branch:
                     stack.extend(branch)
                     pushed += len(branch)
+            elif k == _REPEAT:
+                reps = op[1]
+                if reps > _REP_CHUNK:
+                    op[1] = reps - _REP_CHUNK
+                    stack.append(op)
+                    reps = _REP_CHUNK
+                else:
+                    pushed -= 1  # the frame leaves the stack, undrawn
+                child = op[2]
+                for _ in range(reps):
+                    stack.extend(child)
+                pushed += reps * len(child)
             else:
                 raise SamplingError("dead branch executed; plan is inconsistent")
         else:
@@ -659,6 +684,9 @@ class Sampler:
                 if size + reps > ceiling:
                     raise CeilingExceededError(ceiling)
                 child = op[2]
+                if reps > _REP_CHUNK:
+                    stack.append([_REPEAT, reps - _REP_CHUNK, child])
+                    reps = _REP_CHUNK
                 for _ in range(reps):
                     stack.extend(child)
                 continue
@@ -735,6 +763,16 @@ class Sampler:
                 marks[cur + 2] = heads.tell()
                 cur = parent
                 continue
+            elif k == _REPEAT:
+                reps = op[1]
+                if reps > _REP_CHUNK:
+                    op[1] = reps - _REP_CHUNK
+                    stack.append(op)
+                    reps = _REP_CHUNK
+                child = op[2]
+                for _ in range(reps):
+                    stack.extend(child)
+                continue
             else:
                 raise SamplingError("dead branch executed; plan is inconsistent")
             out.write(data)
@@ -761,10 +799,13 @@ class Sampler:
         return self._count_walk(rng, ceiling)[0]
 
     def _streams(self, config):
+        """The structure stream and the value stream's seed, both drawn
+        from config.seed.  The value stream is built from its seed only
+        for the replay, so the counting pass holds one generator state."""
         master = random.Random(config.seed)
-        rng_s = _Stream(master.getrandbits(64))
-        rng_v = random.Random(master.getrandbits(64))
-        return rng_s, rng_v
+        seed_s, seed_v = master.getrandbits(64), master.getrandbits(64)
+        del master  # gone before the structure stream's state is made
+        return _Stream(seed_s), seed_v
 
     def check_window(self, window):
         """Raise SamplingError when no document fits the window, that is
@@ -797,19 +838,24 @@ class Sampler:
 
         The bytes go out while the document is generated.  Only the
         subtree of an open late element waits, since its start tag is
-        complete only at its end, so memory follows the largest late
-        subtree, not the document."""
+        complete only at its end, and a repetition's copies are pushed
+        _REP_CHUNK at a time, so memory follows the document's depth
+        times the chunk times a child's ops, plus the largest late
+        subtree and one or two generator states, not the document's
+        length."""
         registry = self.registry_for(config.registry)
         window = config.window
         self.check_window(window)
         upper = window.upper
-        rng_s, rng_v = self._streams(config)
+        rng_s, seed_v = self._streams(config)
         histogram = Counter()
         started = time.perf_counter()
         attempt, size, draws = self._accept_attempt(
             rng_s, window.lower, upper, config.max_attempts, histogram
         )
         counted = time.perf_counter()
+        rng_v = random.Random(seed_v)
+        del seed_v  # not held across the writer walk
         written = 0
         if xml_declaration:
             sink.write(XML_DECLARATION)

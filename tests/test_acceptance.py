@@ -368,12 +368,13 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
         registry = sampler.registry_for(None)
 
         def measure(window, seed):
-            rng_s, rng_v = sampler._streams(
+            rng_s, seed_v = sampler._streams(
                 SamplerConfig(window=window, seed=seed)
             )
             attempt, size, _ = sampler._accept_attempt(
                 rng_s, window.lower, window.upper, 10**6, Counter()
             )
+            rng_v = random.Random(seed_v)
             state_s = rng_s.getstate()
             state_v = rng_v.getstate()
 

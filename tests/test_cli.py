@@ -402,6 +402,25 @@ def test_cli_import_does_not_load_numpy():
     assert out.strip() == "False"
 
 
+def test_cli_import_does_not_compile_the_value_table_pattern(tmp_path):
+    # only --datatype-plugin checks values for characters XML forbids, so
+    # the pattern, slow to compile, waits for the first value table
+    table = tmp_path / "table.json"
+    table.write_text('{"string": ["a"]}', encoding="utf-8")
+    probe = (
+        "import boltzxml.cli; from boltzxml import datatypes as d; "
+        "before = d._not_xml_char.cache_info().currsize; "
+        "d.load_value_table(%r); "
+        "print(before, d._not_xml_char.cache_info().currsize)" % str(table)
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.split() == ["0", "1"]
+
+
 def test_partial_success(workdir, capsys):
     # find neighboring seeds where one succeeds and one fails within the
     # attempt budget; the scan is deterministic, so the pair is stable

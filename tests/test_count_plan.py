@@ -31,7 +31,7 @@ from boltzxml import (
     parse_grammar_file,
     solve,
 )
-from boltzxml.sampler import _CHOICE, _CHOICE2, _SEQ, _Stream
+from boltzxml.sampler import _CHOICE, _CHOICE2, _REP_CHUNK, _SEQ, _Stream
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 DATA = Path(__file__).parent / "data"
@@ -214,6 +214,61 @@ def test_repetition_past_the_ceiling_aborts_after_its_draw():
             assert rng_e.draws > 2
             early += 1
     assert early > 40
+
+
+def test_a_repetition_past_one_chunk_aborts_inside_a_later_one():
+    # feed nearer its pole, where items often outnumber two chunks.  Each
+    # item draws its optional link and pubDate, each committing 1 more
+    # when present, so a ceiling can fall in any chunk.  The event plan's
+    # draws are modelled from the same seed: the items' choice, their
+    # count, then two per item in order.
+    grammar = parse_grammar_file(bundled_grammar_path("feed"))
+    system = compile_grammar(grammar)
+    feed = Sampler(grammar, solve(system, 0.615), system=system)
+    registry = feed.registry_for()
+    (choice,) = feed._count_start
+    (repeat,) = choice[3] or choice[5]
+    item = repeat[2][::-1]  # run order: stacks run from their last op
+    later = framed = 0
+    for seed in range(SEEDS):
+        probe = random.Random(seed)
+        if (probe.random() < choice[1]) != (choice[3] == [repeat]):
+            continue  # no items
+        reps = 1 + int(math.log(1.0 - probe.random()) / repeat[1])
+        if reps <= 2 * _REP_CHUNK:
+            continue
+        size, draws = feed.min_size + 2 * reps, 2
+        steps = []  # (item, committed size, draws) where the size rose
+        for i in range(reps):
+            for op in item:
+                draws += 1
+                excess = op[2] if probe.random() < op[1] else op[4]
+                if excess:
+                    size += excess
+                    steps.append((i, size, draws))
+        # the whole walk, through every frame, then aborts at the first
+        # rise in the second chunk, the third, and the last item
+        rng_c = CountingRandom(seed)
+        rng_e = CountingRandom(seed)
+        assert feed._count_walk(rng_c, size) == (size, draws) == (size, rng_c.draws)
+        assert _replay_size(feed, rng_e, size, registry) == size
+        assert rng_e.getstate() == rng_c.getstate()
+        for first in (_REP_CHUNK, 2 * _REP_CHUNK, reps - 1):
+            step = next((s for s in steps if s[0] >= first), None)
+            if step is None:
+                continue  # no rise from there on
+            i, committed, drawn = step
+            rng_c = CountingRandom(seed)
+            rng_e = CountingRandom(seed)
+            assert feed._count_walk(rng_c, committed - 1) == (-1, drawn)
+            assert rng_c.draws == drawn
+            # the replay aborts on the size drawn, later than the walk
+            assert _replay_size(feed, rng_e, committed - 1, registry) == -1
+            assert rng_e.draws >= drawn
+            later += 1
+            # copies of the child not yet pushed: a frame is on the stack
+            framed += i // _REP_CHUNK < (reps - 1) // _REP_CHUNK
+    assert later > 60 and framed > 30, (later, framed)
 
 
 def test_fused_forms_are_built():

@@ -13,6 +13,7 @@ time and memory linear in its length."""
 import html
 import io
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -114,11 +115,12 @@ def reference_events(sampler, rng_s, rng_v, ceiling, registry):
 def reference_sample(sampler, config):
     """The events of the document sample_to_sink writes for config."""
     window = config.window
-    rng_s, rng_v = sampler._streams(config)
+    rng_s, seed_v = sampler._streams(config)
     sampler._accept_attempt(
         rng_s, window.lower, window.upper, config.max_attempts, Counter()
     )
     registry = sampler.registry_for(config.registry)
+    rng_v = random.Random(seed_v)
     return reference_events(sampler, rng_s, rng_v, window.upper, registry)[0]
 
 
@@ -313,10 +315,11 @@ def test_late_duplicate_attribute_leaves_no_file(tmp_path, capsys):
 def rewound_writer(sampler, window, seed, registry=None):
     """Accept an attempt, then return (size, write) where write(sink)
     replays it through the writer walk and may be called again."""
-    rng_s, rng_v = sampler._streams(SamplerConfig(window=window, seed=seed))
+    rng_s, seed_v = sampler._streams(SamplerConfig(window=window, seed=seed))
     _, size, _ = sampler._accept_attempt(
         rng_s, window.lower, window.upper, 10**4, Counter()
     )
+    rng_v = random.Random(seed_v)
     state_s, state_v = rng_s.getstate(), rng_v.getstate()
     registry = sampler.registry_for(registry)
 

@@ -637,6 +637,31 @@ def test_rejections_keep_no_copy_of_the_generator(grammars, oracles):
     assert statistics.median(peaks) < 24 * 1024, peaks
 
 
+def test_memory_does_not_follow_the_length_of_a_repetition(grammars):
+    # a feed document is mostly one zeroOrMore of items; both walks push
+    # a bounded chunk of items at a time, so ten times the items take no
+    # more memory.  Pushing every item at once took 12-18 KB at 1e3 and
+    # 39-126 KB at 1e4.  x puts the mean size near 1e5, and each window
+    # is wide enough to need few attempts.
+    sampler = make_sampler(grammars["feed"], 0.6180278)
+    sink = DiscardSink()
+    medians = []
+    tracemalloc.start()
+    try:
+        for n in (1000, 10000):
+            peaks = []
+            for seed in range(3):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                config = SamplerConfig(window=SizeWindow(n, 0.5), seed=seed)
+                sampler.sample_to_sink(config, sink)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            medians.append(statistics.median(peaks))
+    finally:
+        tracemalloc.stop()
+    assert abs(medians[1] - medians[0]) < 2 * 1024, medians
+
+
 def test_duplicate_attribute_raises_like_the_serializer():
     message = "duplicate attribute 'k' on element 'a'"
     events = [StartElement("a", (("k", "v"), ("k", "w"))), EndElement("a")]
