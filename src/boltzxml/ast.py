@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .errors import GrammarError
+
 __all__ = [
     "Pattern",
     "Choice",
@@ -140,43 +142,51 @@ def iter_nodes(pattern):
         stack.extend(reversed(_children(node)))
 
 
-def grammar_patterns(grammar):
-    """The start pattern followed by each definition body, defines sorted."""
-    yield grammar.start
-    for name in sorted(grammar.defines):
-        yield grammar.defines[name]
-
-
 def check_normal_form(grammar):
-    """Raise ValueError if the grammar breaks a normal-form invariant.
+    """Raise GrammarError, located at the offending node, if the grammar
+    is not in the normal form the system compiler reads.
 
-    Checked: every definition body is an Element; every Ref resolves; no
-    element or element reference occurs below an attribute; the start
-    pattern is built from Ref, Choice and NotAllowed only.
+    Checked: the start pattern is built from Ref, Choice and NotAllowed
+    only; every definition body is an Element; every Ref resolves; no
+    element, reference or other attribute occurs below an attribute; no
+    attribute occurs below a oneOrMore, where it would always repeat.
+    parse_grammar calls this once its normalization is done; a grammar
+    built from the AST or from_canonical can call it too.
     """
-    for name, body in grammar.defines.items():
-        if not isinstance(body, Element):
-            raise ValueError("definition %r is not an element pattern" % name)
-    for pat in grammar_patterns(grammar):
-        for node in iter_nodes(pat):
-            if isinstance(node, Ref) and node.name not in grammar.defines:
-                raise ValueError("dangling reference %r" % node.name)
-            if isinstance(node, Attribute):
-                for inner in iter_nodes(node.content):
-                    if isinstance(inner, (Element, Ref)):
-                        raise ValueError(
-                            "attribute %r contains an element" % node.name
-                        )
+
+    def fail(message, node):
+        line, column = node.loc if node.loc else (None, None)
+        raise GrammarError(message, source=grammar.source, line=line, column=column)
+
     stack = [grammar.start]
     while stack:
         node = stack.pop()
         if isinstance(node, Choice):
             stack.extend((node.left, node.right))
         elif not isinstance(node, (Ref, NotAllowed)):
-            raise ValueError(
-                "start pattern must consist of element references and "
-                "choices, found %s" % type(node).__name__
+            fail(
+                "start pattern must be a choice of element patterns, "
+                "found %s" % type(node).__name__.lower(),
+                node,
             )
+    for name, body in grammar.defines.items():
+        if not isinstance(body, Element):
+            fail("definition %r is not an element pattern" % name, body)
+    for pat in [grammar.start, *grammar.defines.values()]:
+        for node in iter_nodes(pat):
+            if isinstance(node, Ref) and node.name not in grammar.defines:
+                fail("reference to undefined pattern %r" % node.name, node)
+            elif isinstance(node, Attribute):
+                for inner in iter_nodes(node.content):
+                    if isinstance(inner, (Element, Ref)):
+                        fail("attribute %r contains an element pattern" % node.name, node)
+                    if isinstance(inner, Attribute) and inner is not node:
+                        fail("attribute %r contains another attribute" % node.name, node)
+            elif isinstance(node, OneOrMore):
+                # a repeated attribute would always serialize as a duplicate
+                for inner in iter_nodes(node.child):
+                    if isinstance(inner, Attribute):
+                        fail("attribute %r inside oneOrMore would repeat" % inner.name, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +257,9 @@ def to_canonical(grammar):
     return "\n".join(lines) + "\n"
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _tokenize(body, lineno):
     tokens = []
     i, n = 0, len(body)
@@ -254,15 +267,12 @@ def _tokenize(body, lineno):
         if body[i] == " ":
             i += 1
             continue
-        if body.startswith("ns=", i) and i + 3 < n and body[i + 3] == '"':
-            start = i + 3
-            end = _scan_string(body, start, lineno)
-            tokens.append(("ns", json.loads(body[start:end])))
-            i = end
+        if body.startswith('ns="', i):
+            value, i = _string(body, i + 3, lineno)
+            tokens.append(("ns", value))
         elif body[i] == '"':
-            end = _scan_string(body, i, lineno)
-            tokens.append(("str", json.loads(body[i:end])))
-            i = end
+            value, i = _string(body, i, lineno)
+            tokens.append(("str", value))
         else:
             j = i
             while j < n and body[j] != " ":
@@ -272,18 +282,14 @@ def _tokenize(body, lineno):
     return tokens
 
 
-def _scan_string(body, start, lineno):
-    # start points at the opening quote; return index one past the close
-    i = start + 1
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == '"':
-            return i + 1
-        i += 1
-    raise ValueError("line %d: unterminated string" % lineno)
+def _string(body, start, lineno):
+    # start points at the opening quote; return the value and the index one
+    # past the closing quote
+    try:
+        return _DECODER.raw_decode(body, start)
+    except json.JSONDecodeError as exc:
+        what = "unterminated string" if exc.msg.startswith("Unterminated") else exc.msg
+        raise ValueError("line %d: %s" % (lineno, what)) from None
 
 
 def from_canonical(text):

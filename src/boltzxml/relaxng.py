@@ -6,14 +6,17 @@ notAllowed, data (with params) and value.  Name classes (anyName, nsName),
 externalRef, include, list and the compact syntax are rejected with an error
 naming the feature.
 
-Normalization performed here, in order: syntactic sugar is rewritten
-(zeroOrMore, optional, mixed become choice/oneOrMore/group forms, interleave
-is approximated by group, n-ary choice and group fold to binary), every
-inline element pattern is hoisted to a fresh named definition, every
-definition whose body is not an element is inlined at its use sites, unused
-definitions are dropped.  The result satisfies ast.check_normal_form, and
-recursion is guaranteed to pass through an element: a definition cycle that
-never crosses one is reported as an error during inlining.
+Normalization performed here, in order: syntactic sugar is rewritten while
+building (zeroOrMore, optional, mixed become choice/oneOrMore/group forms,
+interleave is approximated by group, n-ary choice and group fold to binary,
+and repeated definitions merge by their combine method, choice or
+interleave); every inline element pattern is hoisted to a fresh named
+definition, and an undefined reference is reported on the way; every
+definition whose body is not an element is inlined at its use sites, and a
+definition cycle that never crosses an element is reported there; unused
+definitions are dropped.  Last, ast.check_normal_form checks the result once,
+so recursion is guaranteed to pass through an element and the start,
+reference and attribute rules hold.
 """
 
 from __future__ import annotations
@@ -183,22 +186,18 @@ class _Builder:
 
     def combine(self, node, entries, what):
         """Apply RELAX NG combine semantics to [(combine, pattern, node)]."""
-        plain = [e for e in entries if e[0] is None]
-        methods = {e[0] for e in entries if e[0] is not None}
-        if len(plain) > 1 or (plain and len(entries) > 1 and not methods):
+        # RELAX NG section 4.2 strips the whitespace around a combine value
+        methods = [m if m is None else m.strip() for m, _, _ in entries]
+        for method, (raw, _, at) in zip(methods, entries):
+            if method not in (None, "choice", "interleave"):
+                self.err("combine %r of %s is not choice or interleave" % (raw, what), at)
+        if methods.count(None) > 1:
             self.err("multiple definitions of %s without combine" % what, node)
-        if len(methods) > 1:
+        kinds = set(methods) - {None}
+        if len(kinds) > 1:
             self.err("conflicting combine methods for %s" % what, node)
-        if len(entries) > 1 and not methods:
-            self.err("multiple definitions of %s without combine" % what, node)
-        patterns = [e[1] for e in entries]
-        if len(patterns) == 1:
-            return patterns[0]
-        cls = ast.Choice if methods == {"choice"} else ast.Group
-        result = patterns[-1]
-        for p in reversed(patterns[:-1]):
-            result = cls(p, result, loc=self.loc(node))
-        return result
+        cls = ast.Choice if kinds == {"choice"} else ast.Group
+        return self.fold(node, [e[1] for e in entries], cls)
 
     def grammar_body(self, node, ns, starts, defines):
         for child in self.rng_children(node):
@@ -260,13 +259,9 @@ def parse_grammar_file(path):
 
 
 def _normalize(start, defines, source):
-    _check_refs(start, defines, source)
     start, defines = _hoist(start, defines, source)
     start, defines = _inline(start, defines, source)
-    defines = _prune(start, defines)
-    _check_start(start, source)
-    _check_attributes(start, defines, source)
-    grammar = ast.Grammar(start, defines, source=source)
+    grammar = ast.Grammar(start, _prune(start, defines), source=source)
     ast.check_normal_form(grammar)
     return grammar
 
@@ -276,18 +271,12 @@ def _located(source, node):
     return dict(source=source, line=line, column=col)
 
 
-def _check_refs(start, defines, source):
-    for pat in [start, *defines.values()]:
-        for node in ast.iter_nodes(pat):
-            if isinstance(node, ast.Ref) and node.name not in defines:
-                raise GrammarError(
-                    "reference to undefined pattern %r" % node.name,
-                    **_located(source, node),
-                )
-
-
 def _hoist(start, defines, source):
-    """Give every inline element pattern a fresh named definition."""
+    """Give every inline element pattern a fresh named definition.
+
+    Every node of the start pattern and of each definition is visited here,
+    in order and before anything is inlined, so an undefined reference is
+    reported here."""
     used = set(defines)
     new_defines = {}
 
@@ -316,6 +305,10 @@ def _hoist(start, defines, source):
             return ast.OneOrMore(tx(p.child, False), loc=p.loc)
         if isinstance(p, ast.Attribute):
             return ast.Attribute(p.name, tx(p.content, False), ns=p.ns, loc=p.loc)
+        if isinstance(p, ast.Ref) and p.name not in defines:
+            raise GrammarError(
+                "reference to undefined pattern %r" % p.name, **_located(source, p)
+            )
         return p
 
     start2 = tx(start, False)
@@ -382,43 +375,3 @@ def _prune(start, defines):
                 reachable.add(node.name)
                 stack.append(defines[node.name])
     return {n: defines[n] for n in defines if n in reachable}
-
-
-def _check_start(start, source):
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Choice):
-            stack.extend((node.left, node.right))
-        elif not isinstance(node, (ast.Ref, ast.NotAllowed)):
-            raise GrammarError(
-                "start pattern must be a choice of element patterns, "
-                "found %s" % type(node).__name__.lower(),
-                **_located(source, node),
-            )
-
-
-def _check_attributes(start, defines, source):
-    for pat in [start, *defines.values()]:
-        for node in ast.iter_nodes(pat):
-            if isinstance(node, ast.Attribute):
-                for inner in ast.iter_nodes(node.content):
-                    if isinstance(inner, (ast.Element, ast.Ref)):
-                        raise GrammarError(
-                            "attribute %r contains an element pattern" % node.name,
-                            **_located(source, node),
-                        )
-                    if isinstance(inner, ast.Attribute) and inner is not node:
-                        raise GrammarError(
-                            "attribute %r contains another attribute" % node.name,
-                            **_located(source, node),
-                        )
-            elif isinstance(node, ast.OneOrMore):
-                # a repeated attribute would always serialize as a duplicate
-                for inner in ast.iter_nodes(node.child):
-                    if isinstance(inner, ast.Attribute):
-                        raise GrammarError(
-                            "attribute %r inside oneOrMore would repeat"
-                            % inner.name,
-                            **_located(source, inner),
-                        )

@@ -48,11 +48,10 @@ class Monomial:
 class GfSystem:
     """An ordered set of polynomial class equations with a start class."""
 
-    def __init__(self, classes, equations, start, provenance=None, grammar_digest=None):
+    def __init__(self, classes, equations, start, grammar_digest=None):
         self.classes = list(classes)
         self.equations = {name: tuple(equations[name]) for name in self.classes}
         self.start = start
-        self.provenance = provenance or {}
         self.grammar_digest = grammar_digest
         self._digest = None  # computed on first use; a system is never mutated
         if start not in self.equations:
@@ -136,7 +135,6 @@ class _Compiler:
         self.grammar = grammar
         self.classes = []
         self.equations = {}
-        self.provenance = {}
         self.seq_cache = {}
         self.seq_serial = 0
 
@@ -199,7 +197,6 @@ class _Compiler:
             self.classes.append(name)
             self_term = {(0, ((name, 1),)): 1}
             self.equations[name] = _p_add(pp, _p_mul(pp, self_term))
-            self.provenance[name] = node
         return {(0, ((name, 1),)): 1}
 
     def run(self, grammar_digest=None):
@@ -220,11 +217,9 @@ class _Compiler:
         self.classes.extend(define_order)
         if start_name not in define_order:
             self.equations[start_name] = self.poly(g.start)
-            self.provenance[start_name] = g.start
         for name in define_order:
             body = g.defines[name]
             self.equations[name] = _p_shift(self.poly(body.content))
-            self.provenance[name] = body
 
         classes, equations = self.prune_empty(start_name)
         eq_tuples = {
@@ -234,13 +229,7 @@ class _Compiler:
             )
             for name in classes
         }
-        system = GfSystem(
-            classes,
-            eq_tuples,
-            start_name,
-            provenance=self.provenance,
-            grammar_digest=grammar_digest,
-        )
+        system = GfSystem(classes, eq_tuples, start_name, grammar_digest=grammar_digest)
         check_well_founded(system)
         return system
 

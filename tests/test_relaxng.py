@@ -178,6 +178,16 @@ def test_combine_choice():
     assert grammar.defines["a"].content == Choice(Empty(), Text())
 
 
+def test_combine_value_is_whitespace_stripped():
+    grammar = g(
+        "<start><ref name='a'/></start>"
+        '<define name="a"><element name="a"><ref name="c"/></element></define>'
+        '<define name="c" combine=" choice"><empty/></define>'
+        '<define name="c" combine="choice "><text/></define>'
+    )
+    assert grammar.defines["a"].content == Choice(Empty(), Text())
+
+
 def test_top_level_pattern_shorthand():
     # a bare pattern document is wrapped in grammar/start
     grammar = parse_grammar('<element name="a" %s><empty/></element>' % RNG)
@@ -212,6 +222,7 @@ def test_unknown_element():
 def test_dangling_ref():
     e = err('<start><element name="a"><ref name="ghost"/></element></start>')
     assert "ghost" in str(e)
+    assert e.line is not None
 
 
 def test_recursion_without_element_guard():
@@ -260,6 +271,7 @@ def test_element_inside_attribute():
         "</attribute></element></start>"
     )
     assert "attribute" in str(e)
+    assert e.line is not None
 
 
 def test_ref_to_element_inside_attribute():
@@ -271,11 +283,13 @@ def test_ref_to_element_inside_attribute():
         '<define name="b"><element name="b"><empty/></element></define>'
     )
     assert "attribute" in str(e)
+    assert e.line is not None
 
 
 def test_start_must_generate_an_element():
     e = err("<start><text/></start>")
     assert "start" in str(e)
+    assert e.line is not None
 
 
 def test_missing_start():
@@ -292,6 +306,18 @@ def test_duplicate_define_without_combine():
     assert "a" in str(e)
 
 
+def test_combine_value_must_be_choice_or_interleave():
+    e = err(
+        "<start><ref name='a'/></start>"
+        '<define name="a"><element name="a"><ref name="c"/></element></define>'
+        '<define name="c" combine="bogus"><empty/></define>'
+        '<define name="c" combine="bogus"><text/></define>'
+    )
+    assert "'bogus'" in str(e)
+    assert "choice or interleave" in str(e)
+    assert e.line is not None
+
+
 def test_bad_name_token():
     e = err('<start><element name="1bad"><empty/></element></start>')
     assert "name" in str(e)
@@ -304,6 +330,64 @@ def test_one_or_more_attribute_rejected():
         '<attribute name="k"/></oneOrMore></element></start>'
     )
     assert "attribute" in str(e)
+
+
+# one normal-form check, for parsed and for AST-built grammars alike
+
+_DEFINE_A = 'start\n  ref "a"\ndefine "a"\n  element "a"\n'
+_RNG_A = "<start><ref name='a'/></start><define name='a'><element name='a'>%s</element></define>"
+
+
+@pytest.mark.parametrize(
+    "text,body,message",
+    [
+        (
+            "start\n  text\n",
+            "<start><text/></start>",
+            "start pattern must be a choice of element patterns, found text",
+        ),
+        (
+            'start\n  ref "ghost"\n',
+            "<start><ref name='ghost'/></start>",
+            "reference to undefined pattern 'ghost'",
+        ),
+        (
+            _DEFINE_A + '    attribute "k"\n      ref "a"\n',
+            _RNG_A % "<attribute name='k'><ref name='a'/></attribute>",
+            "attribute 'k' contains an element pattern",
+        ),
+        (
+            _DEFINE_A + '    attribute "k"\n      element "b"\n        empty\n',
+            _RNG_A % "<attribute name='k'><element name='b'><empty/></element></attribute>",
+            "attribute 'k' contains an element pattern",
+        ),
+        (
+            _DEFINE_A + '    attribute "k"\n      attribute "j"\n        text\n',
+            _RNG_A % "<attribute name='k'><attribute name='j'/></attribute>",
+            "attribute 'k' contains another attribute",
+        ),
+        (
+            _DEFINE_A + '    oneOrMore\n      attribute "k"\n        text\n',
+            _RNG_A % "<oneOrMore><attribute name='k'/></oneOrMore>",
+            "attribute 'k' inside oneOrMore would repeat",
+        ),
+    ],
+    ids=[
+        "bad-start",
+        "dangling-ref",
+        "ref-in-attribute",
+        "element-in-attribute",
+        "attribute-in-attribute",
+        "attribute-under-oneOrMore",
+    ],
+)
+def test_check_normal_form_rules(text, body, message):
+    with pytest.raises(GrammarError) as info:
+        check_normal_form(from_canonical(text))
+    assert info.value.message == message
+    parsed = err(body)
+    assert parsed.message == message
+    assert parsed.line is not None
 
 
 # ---------------------------------------------------------------------------
