@@ -147,9 +147,10 @@ def check_normal_form(grammar):
     is not in the normal form the system compiler reads.
 
     Checked: the start pattern is built from Ref, Choice and NotAllowed
-    only; every definition body is an Element; every Ref resolves; no
-    element, reference or other attribute occurs below an attribute; no
-    attribute occurs below a oneOrMore, where it would always repeat.
+    only; every definition body is an Element and no other Element
+    occurs; every Ref resolves; no element, reference or other
+    attribute occurs below an attribute; no attribute occurs below a
+    oneOrMore, where it would always repeat.
     parse_grammar calls this once its normalization is done; a grammar
     built from the AST or from_canonical can call it too.
     """
@@ -176,6 +177,9 @@ def check_normal_form(grammar):
         for node in iter_nodes(pat):
             if isinstance(node, Ref) and node.name not in grammar.defines:
                 fail("reference to undefined pattern %r" % node.name, node)
+            elif isinstance(node, Element) and node is not pat:
+                fail("element %r is nested in a pattern; an element occurs "
+                     "only as a definition body" % node.name, node)
             elif isinstance(node, Attribute):
                 for inner in iter_nodes(node.content):
                     if isinstance(inner, (Element, Ref)):

@@ -38,13 +38,16 @@ copies of its child a chunk at a time, under a frame that pushes the
 next chunk when it is popped, so a document's memory follows its depth
 times the chunk times a child's ops, plus the largest late subtree, plus
 one generator state while counting and two while writing, not its
-length.  sample_in_window and free_sample write to a buffer and parse
-the bytes into events (_parse_events): adjacent texts arrive as one
-TextContent, an empty text beside other content is absent, and an
-element written as <b></b> keeps one empty TextContent.
+length.  free_sample counts, rewinds and replays one attempt the same
+way, so the counting walk alone decides a size.  sample_in_window and
+free_sample write to a buffer and parse the bytes into events
+(_parse_events): adjacent texts arrive as one TextContent, an empty
+text beside other content is absent, and an element written as <b></b>
+keeps one empty TextContent.
 
 Values come from a second random stream so the counting pass stays
-aligned with the replay; it is built from its seed only for the replay.
+aligned with the replay and value samplers never change a shape; it is
+built from its seed only for the replay.
 """
 
 from __future__ import annotations
@@ -261,8 +264,8 @@ class Sampler:
         (reps - 1) times its child's smallest size, and the walk aborts
         once that committed size passes the ceiling.  The ops run in the
         order of the event ops' draws, so a walk that ends makes the same
-        draws; one that aborts stops earlier than the replay would, which
-        changed the accepted attempt of most seeds when this rule came in."""
+        draws; one that aborts stops at the draw that passes the ceiling,
+        which changed the accepted attempt of most seeds when it came in."""
         self._event_elem = {}
         self._def_of = {}  # id of an element op -> its definition
         g = self.grammar
@@ -513,12 +516,12 @@ class Sampler:
 
         size is the committed size: the size drawn so far plus the
         smallest size of every op still pending.  The walk aborts as soon
-        as it passes the ceiling, since no document from there fits.  A
-        walk that ends makes the replay walk's structure draws in the
-        same order and returns the same size; an aborted one has made a
-        prefix of the draws after which it raises CeilingExceededError.
-        Every op but a repetition frame draws one uniform, so draws, the
-        number of rng.random() calls the walk made, is the number of ops
+        as it passes the ceiling, since no document from there fits.  It
+        alone decides a size: a walk that ends makes the writer walk's
+        structure draws in the same order, and an aborted one a prefix of
+        the draws of a document past the ceiling.  Every op but a
+        repetition frame draws one uniform, so draws, the number of
+        rng.random() calls the walk made, is the number of ops
         it pushed less those still on the stack, a frame counting as
         pushed only while it is on the stack."""
         size = self.min_size
@@ -638,9 +641,9 @@ class Sampler:
             return self._sample_value(plan[2][i], rng, registry)
         raise SamplingError("dead value branch executed")
 
-    def _walk_write(self, rng_s, rng_v, ceiling, registry, sink):
-        """Generate a document straight to a binary sink; returns the
-        number of bytes written and the document's size.
+    def _walk_write(self, rng_s, rng_v, registry, sink):
+        """Replay an attempt that _count_walk finished, from its first
+        draw, straight to a binary sink; returns the bytes written.
 
         tag is the element op whose start tag still lacks its '>'.  The
         bytes follow serialize_stream's rules: '>' before an element's
@@ -660,7 +663,7 @@ class Sampler:
         write because a sink may rebind it."""
         stack = list(self._event_start)
         tag = None
-        size = written = 0
+        written = 0
         out = sink
         cur = -1
         region = heads = marks = attrs = None
@@ -681,8 +684,6 @@ class Sampler:
                 continue
             if k == _SEQ:
                 reps = 1 + int(log(1.0 - rnd()) / op[1])
-                if size + reps > ceiling:
-                    raise CeilingExceededError(ceiling)
                 child = op[2]
                 if reps > _REP_CHUNK:
                     stack.append([_REPEAT, reps - _REP_CHUNK, child])
@@ -691,9 +692,6 @@ class Sampler:
                     stack.extend(child)
                 continue
             if k == _ELEM:
-                size += 1
-                if size > ceiling:
-                    raise CeilingExceededError(ceiling)
                 data = op[1] if tag is None else b">" + op[1]
                 tag = op
                 stack.append(op[3])
@@ -703,9 +701,6 @@ class Sampler:
                 data = op[1] if tag is None else b"/>"
                 tag = None
             elif k == _ATTR:
-                size += 1
-                if size > ceiling:
-                    raise CeilingExceededError(ceiling)
                 value = _esc_attr(self._sample_value(op[2], rng_v, registry))
                 data = (' %s="%s"' % (op[1], value)).encode()
             elif k == _TEXT or k == _LIT:
@@ -717,9 +712,6 @@ class Sampler:
                     data = b">" + data
                     tag = None
             elif k == _LATE_ELEM:
-                size += 1
-                if size > ceiling:
-                    raise CeilingExceededError(ceiling)
                 if tag is not None:
                     out.write(b">")
                     written += 1
@@ -737,9 +729,6 @@ class Sampler:
                     stack.extend(op[2])
                 continue
             elif k == _LATE_ATTR:
-                size += 1
-                if size > ceiling:
-                    raise CeilingExceededError(ceiling)
                 value = _esc_attr(self._sample_value(op[2], rng_v, registry))
                 attrs += op[3] + value.encode() + b'"'
                 continue
@@ -777,32 +766,37 @@ class Sampler:
                 raise SamplingError("dead branch executed; plan is inconsistent")
             out.write(data)
             written += len(data)
-        return written, size
+        return written
 
     # -- public sampling --------------------------------------------------
 
     def free_sample(self, rng=None, *, ceiling=DEFAULT_FREE_CEILING, registry=None):
         """One unconstrained draw; returns (events, size).
 
-        The size distribution is the Boltzmann law at the oracle's x; a
-        draw that exceeds the ceiling raises CeilingExceededError."""
-        if rng is None:
-            rng = random.Random()
-        elif isinstance(rng, int):
-            rng = random.Random(rng)
+        rng (an int, None or a random.Random, which gives 128 bits) seeds
+        both streams as a window sample's seed does.  The size follows the
+        Boltzmann law at the oracle's x; a counting walk past the ceiling
+        raises CeilingExceededError, and one that ends is replayed."""
+        registry = self.registry_for(registry)
+        rng_s, seed_v = self._streams(rng)
+        size = self._count_walk(rng_s, ceiling)[0]
+        if size < 0:
+            raise CeilingExceededError(ceiling)
+        rng_s.rewind(0)
         buf = BytesIO()
-        _, size = self._walk_write(rng, rng, ceiling, self.registry_for(registry), buf)
+        self._walk_write(rng_s, random.Random(seed_v), registry, buf)
         return _parse_events(buf.getvalue()), size
 
     def free_size(self, rng, *, ceiling=DEFAULT_FREE_CEILING):
         """Size of one unconstrained draw, -1 if it passed the ceiling."""
         return self._count_walk(rng, ceiling)[0]
 
-    def _streams(self, config):
+    def _streams(self, seed):
         """The structure stream and the value stream's seed, both drawn
-        from config.seed.  The value stream is built from its seed only
-        for the replay, so the counting pass holds one generator state."""
-        master = random.Random(config.seed)
+        from seed, an int, None or a random.Random.  The value stream is
+        built from its seed only for the replay, so the counting pass
+        holds one generator state."""
+        master = seed if isinstance(seed, random.Random) else random.Random(seed)
         seed_s, seed_v = master.getrandbits(64), master.getrandbits(64)
         del master  # gone before the structure stream's state is made
         return _Stream(seed_s), seed_v
@@ -846,12 +840,11 @@ class Sampler:
         registry = self.registry_for(config.registry)
         window = config.window
         self.check_window(window)
-        upper = window.upper
-        rng_s, seed_v = self._streams(config)
+        rng_s, seed_v = self._streams(config.seed)
         histogram = Counter()
         started = time.perf_counter()
         attempt, size, draws = self._accept_attempt(
-            rng_s, window.lower, upper, config.max_attempts, histogram
+            rng_s, window.lower, window.upper, config.max_attempts, histogram
         )
         counted = time.perf_counter()
         rng_v = random.Random(seed_v)
@@ -860,7 +853,7 @@ class Sampler:
         if xml_declaration:
             sink.write(XML_DECLARATION)
             written = len(XML_DECLARATION)
-        written += self._walk_write(rng_s, rng_v, upper, registry, sink)[0]
+        written += self._walk_write(rng_s, rng_v, registry, sink)
         return StreamStats(
             size, attempt, draws, written, histogram,
             counted - started, time.perf_counter() - counted,

@@ -318,26 +318,27 @@ def check_well_founded(system):
                 if rest > 0:
                     edges[name].add(cls)
 
+    # depth first from each class in turn, with a stack of edge iterators
+    # (todo[0] runs over the classes) so no chain passes the recursion limit
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {c: WHITE for c in classes}
-
-    def dfs(node, trail):
-        color[node] = GRAY
-        trail.append(node)
-        for nxt in sorted(edges[node]):
+    trail, todo = [], [iter(classes)]
+    while todo:
+        for nxt in todo[-1]:
             if color[nxt] == GRAY:
                 cycle = trail[trail.index(nxt):] + [nxt]
                 raise IllFoundedSystemError(
                     "zero-size recursion cycle: %s" % " -> ".join(cycle)
                 )
             if color[nxt] == WHITE:
-                dfs(nxt, trail)
-        trail.pop()
-        color[node] = BLACK
-
-    for c in classes:
-        if color[c] == WHITE:
-            dfs(c, [])
+                color[nxt] = GRAY
+                trail.append(nxt)
+                todo.append(iter(sorted(edges[nxt])))
+                break
+        else:
+            todo.pop()
+            if trail:
+                color[trail.pop()] = BLACK
     return const
 
 

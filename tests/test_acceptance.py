@@ -368,9 +368,7 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
         registry = sampler.registry_for(None)
 
         def measure(window, seed):
-            rng_s, seed_v = sampler._streams(
-                SamplerConfig(window=window, seed=seed)
-            )
+            rng_s, seed_v = sampler._streams(seed)
             attempt, size, _ = sampler._accept_attempt(
                 rng_s, window.lower, window.upper, 10**6, Counter()
             )
@@ -385,9 +383,7 @@ def test_07_streaming_million_elements(grammars, systems, oracles, capsys):
             def write(sink):
                 # the walk sample_to_sink runs for this streaming grammar
                 rewind()
-                return sampler._walk_write(
-                    rng_s, rng_v, window.upper, registry, sink
-                )[0]
+                return sampler._walk_write(rng_s, rng_v, registry, sink)
 
             # generation pass timed without instrumentation overhead
             sink = _CountingSink()

@@ -5,13 +5,17 @@ end.  Draw-free content (attributes, and elements with no choice or
 repetition below them) has no op; its size is counted up front, as part
 of the smallest size of the pattern around it.  The walk tracks its
 committed size, the size drawn so far plus the smallest size of every op
-still pending, and aborts once that passes the ceiling.  It must return
-the size the writer walk _walk_write reaches and leave the structure
-stream in the same state when it ends, and -1 exactly where _walk_write
-raises CeilingExceededError, after a prefix of _walk_write's draws.  It
-also returns the number of uniforms it drew, which the sampler skips to
-find an accepted attempt again.  The writer's bytes go to a sink that
-keeps nothing."""
+still pending, and aborts once that passes the ceiling.  It is the only
+code that decides a document's size: the writer walk _walk_write replays
+a finished walk's draws and counts nothing.  So the walk must return the
+size the event plan's draws give and leave the structure stream in the
+same state when it ends, and -1 exactly where a replay capped at the
+ceiling passes it, after a prefix of that replay's draws.  The replay
+here is reference_walk.reference_events, which runs the event plan into
+events and aborts on the size drawn, so it may draw on past the walk's
+abort.  The walk also returns the number of uniforms it drew, which the
+sampler skips to find an accepted attempt again.  sample_to_sink's bytes
+go to a sink that keeps nothing."""
 
 import math
 import random
@@ -32,6 +36,8 @@ from boltzxml import (
     solve,
 )
 from boltzxml.sampler import _CHOICE, _CHOICE2, _REP_CHUNK, _SEQ, _Stream
+
+from reference_walk import reference_events
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 DATA = Path(__file__).parent / "data"
@@ -147,9 +153,7 @@ class DiscardSink:
 
 def _replay_size(sampler, rng, ceiling, registry):
     try:
-        return sampler._walk_write(
-            rng, random.Random(0), ceiling, registry, DiscardSink()
-        )[1]
+        return reference_events(sampler, rng, random.Random(0), ceiling, registry)[1]
     except CeilingExceededError:
         return -1
 

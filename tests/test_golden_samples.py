@@ -15,7 +15,9 @@ attempt overshoots, so feed uses x = 0.6174135, where E[size] = 1000.
 
 To re-record after an intended change of the sampled bytes, run
     PYTHONPATH=src python tests/test_golden_samples.py --write
-and announce the change in CHANGES.md."""
+which prints a "grammar seed field" line for every value that differs
+from the file on disk before it writes, and announce the change in
+CHANGES.md."""
 
 import hashlib
 import io
@@ -104,6 +106,21 @@ def test_schema_exercises_late_elements():
         assert not _sampler(bundled_grammar_path(name), name).late, name
 
 
+def _changes(old, new):
+    """(grammar, seed, field) of every value that differs between two
+    records, one present in only one of them included."""
+    for name in sorted(old.keys() | new.keys()):
+        was, now = old.get(name, {}), new.get(name, {})
+        for seed in sorted(was.keys() | now.keys(), key=int):
+            a, b = was.get(seed, {}), now.get(seed, {})
+            for key in sorted(a.keys() | b.keys()):
+                if a.get(key) != b.get(key):
+                    yield name, seed, key
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     records = {name: _records(name, path) for name, path in sorted(_grammar_paths().items())}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for change in _changes(old, records):
+        print(*change)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

@@ -10,7 +10,6 @@ sample_in_window's events; a late element deep in a document must not
 hold back the rest of it; and a deep chain of late elements must cost
 time and memory linear in its length."""
 
-import html
 import io
 import math
 import random
@@ -36,11 +35,9 @@ from boltzxml import (
     solve,
 )
 from boltzxml.cli import EXIT_INPUT, main
-from boltzxml.errors import CeilingExceededError, SamplingError
-from boltzxml.sampler import (
-    _ATTR, _CHOICE, _ELEM, _END, _LATE_ATTR, _LATE_ELEM, _LATE_END, _LIT,
-    _SEQ, _TEXT,
-)
+from boltzxml.errors import SamplingError
+
+from reference_walk import reference_events
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 SCHEMA = Path(__file__).parent / "data" / "schema-4-16-8.rng"
@@ -55,67 +52,10 @@ def make_sampler(grammar, x):
     return Sampler(grammar, solve(system, x), system=system)
 
 
-def reference_events(sampler, rng_s, rng_v, ceiling, registry):
-    """Run the sampler's event plan into an event list; returns (events,
-    size).
-
-    It makes the writer walk's draws, but builds each start event when
-    its element opens and completes its attributes when it ends, so it
-    needs no region buffer.  An element's namespace is read back from
-    its encoded head, a literal's text from its escaped bytes."""
-    stack = list(sampler._event_start)
-    out = []
-    open_stack = []  # (slot in out, name, attrs, ns)
-    size = 0
-    while stack:
-        op = stack.pop()
-        k = op[0]
-        if k == _ELEM or k == _LATE_ELEM:
-            size += 1
-            if size > ceiling:
-                raise CeilingExceededError(ceiling)
-            _, _, ns = op[1].decode().partition(' xmlns="')
-            ns = html.unescape(ns[:-1]) if ns else None
-            open_stack.append((len(out), op[4], [], ns))
-            out.append(None)
-            stack.append(op[3])
-            stack.extend(op[2])
-        elif k == _CHOICE:
-            u = rng_s.random()
-            i = 0
-            while u >= op[1][i]:
-                i += 1
-            stack.extend(op[2][i])
-        elif k == _SEQ:
-            reps = 1 + int(math.log(1.0 - rng_s.random()) / op[1])
-            if size + reps > ceiling:
-                raise CeilingExceededError(ceiling)
-            for _ in range(reps):
-                stack.extend(op[2])
-        elif k == _END or k == _LATE_END:
-            slot, name, attrs, ns = open_stack.pop()
-            out[slot] = StartElement(name, tuple(attrs), ns)
-            out.append(EndElement(name))
-        elif k == _ATTR or k == _LATE_ATTR:
-            size += 1
-            if size > ceiling:
-                raise CeilingExceededError(ceiling)
-            open_stack[-1][2].append(
-                (op[1], sampler._sample_value(op[2], rng_v, registry))
-            )
-        elif k == _TEXT:
-            out.append(TextContent(registry[op[1]](rng_v)))
-        elif k == _LIT:
-            out.append(TextContent(html.unescape(op[1].decode())))
-        else:
-            raise SamplingError("dead branch executed")
-    return out, size
-
-
 def reference_sample(sampler, config):
     """The events of the document sample_to_sink writes for config."""
     window = config.window
-    rng_s, seed_v = sampler._streams(config)
+    rng_s, seed_v = sampler._streams(config.seed)
     sampler._accept_attempt(
         rng_s, window.lower, window.upper, config.max_attempts, Counter()
     )
@@ -315,7 +255,7 @@ def test_late_duplicate_attribute_leaves_no_file(tmp_path, capsys):
 def rewound_writer(sampler, window, seed, registry=None):
     """Accept an attempt, then return (size, write) where write(sink)
     replays it through the writer walk and may be called again."""
-    rng_s, seed_v = sampler._streams(SamplerConfig(window=window, seed=seed))
+    rng_s, seed_v = sampler._streams(seed)
     _, size, _ = sampler._accept_attempt(
         rng_s, window.lower, window.upper, 10**4, Counter()
     )
@@ -326,7 +266,7 @@ def rewound_writer(sampler, window, seed, registry=None):
     def write(sink):
         rng_s.setstate(state_s)
         rng_v.setstate(state_v)
-        return sampler._walk_write(rng_s, rng_v, window.upper, registry, sink)[0]
+        return sampler._walk_write(rng_s, rng_v, registry, sink)
 
     return size, write
 

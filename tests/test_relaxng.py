@@ -390,6 +390,30 @@ def test_check_normal_form_rules(text, body, message):
     assert parsed.line is not None
 
 
+def test_element_occurs_only_as_a_definition_body():
+    # hoisting gives every nested element its own definition, so parsed
+    # grammars never break this rule; AST-built ones can, and the compiler
+    # would refuse them without a location
+    grammar = from_canonical(
+        _DEFINE_A + "    choice\n      empty\n      element \"b\"\n        empty\n"
+    )
+    message = (
+        "element 'b' is nested in a pattern; an element occurs only as a "
+        "definition body"
+    )
+    with pytest.raises(GrammarError) as info:
+        check_normal_form(grammar)
+    assert info.value.message == message
+    located = Grammar(
+        Ref("a"),
+        {"a": Element("a", Choice(Empty(), Element("b", Empty(), loc=(3, 7))))},
+        source="g.rng",
+    )
+    with pytest.raises(GrammarError) as info:
+        check_normal_form(located)
+    assert str(info.value) == "g.rng:3:7: " + message
+
+
 # ---------------------------------------------------------------------------
 # canonical text round-trip
 

@@ -21,6 +21,7 @@ from boltzxml import (
     SizeWindow,
     StartElement,
     TextContent,
+    bundled_grammar_path,
     compile_grammar,
     count_coefficients,
     events_to_bytes,
@@ -371,6 +372,22 @@ def test_value_stream_does_not_disturb_structure(grammars, oracles):
     )
     assert skeleton_key(a.events) == skeleton_key(b.events)
     assert (a.size, a.attempts) == (b.size, b.attempts)
+
+
+@pytest.mark.parametrize("path,x", [
+    (bundled_grammar_path("feed"), 0.6174135),
+    (Path(__file__).parent / "data" / "schema-4-16-8.rng", "auto"),
+], ids=["feed", "schema-4-16-8"])
+def test_value_samplers_do_not_change_free_shapes(path, x):
+    # free_sample seeds its structure and value streams apart, like a
+    # window sample, so constant values leave every shape as it was
+    sampler = make_sampler(parse_grammar_file(path), x)
+    constant = {t: lambda rng: "1" for t in sampler.used_types}
+    for seed in range(50):
+        events, size = sampler.free_sample(seed)
+        same, same_size = sampler.free_sample(seed, registry=constant)
+        assert skeleton_key(events) == skeleton_key(same), seed
+        assert size == same_size
 
 
 def test_registry_forces_values(grammars, oracles):

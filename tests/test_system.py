@@ -251,6 +251,28 @@ def test_load_rejects_zero_size_recursion(tmp_path):
         )
 
 
+def zero_size_chain(n, last):
+    """Classes c0 ... c(n-1), each x or the next class, a zero-size
+    edge; the last class's equation is last."""
+    eqs = "".join("eq c%d = 1 1 + 1 0 c%d:1\n" % (i, i + 1) for i in range(n - 1))
+    return "boltzxml-system 1\nclasses %d\nstart c0\n%seq c%d = %s\n" % (
+        n, eqs, n - 1, last,
+    )
+
+
+def test_load_takes_a_long_chain_of_zero_size_edges(tmp_path):
+    # each class has a zero-size edge to the next, so the cycle search
+    # walks a path deeper than the default recursion limit
+    system = load_text(tmp_path, zero_size_chain(1500, "1 1"))
+    assert len(system.classes) == 1500
+    # a cycle closed at the chain's end is still named in full
+    with pytest.raises(IllFoundedSystemError) as info:
+        load_text(tmp_path, zero_size_chain(1500, "1 1 + 1 0 c1496:1"))
+    assert str(info.value) == (
+        "zero-size recursion cycle: c1496 -> c1497 -> c1498 -> c1499 -> c1496"
+    )
+
+
 def test_load_rejects_unbounded_constants(tmp_path):
     with pytest.raises(IllFoundedSystemError):
         load_text(
