@@ -144,15 +144,26 @@ def iter_nodes(pattern):
 
 def check_normal_form(grammar):
     """Raise GrammarError, located at the offending node, if the grammar
-    is not in the normal form the system compiler reads.
+    is not in the normal form the system compiler and the sampler read;
+    return the late definitions.
 
     Checked: the start pattern is built from Ref, Choice and NotAllowed
     only; every definition body is an Element and no other Element
     occurs; every Ref resolves; no element, reference or other
     attribute occurs below an attribute; no attribute occurs below a
-    oneOrMore, where it would always repeat.
-    parse_grammar calls this once its normalization is done; a grammar
-    built from the AST or from_canonical can call it too.
+    oneOrMore, where it would always repeat; no two sides of a group
+    hold an attribute of one name, which RELAX NG forbids whatever the
+    weights (section 7.3 of the 2001 specification); names compare as
+    they are written, without their namespace, and a duplicate is
+    reported only when no other rule is broken.
+
+    Each definition's content folds bottom up, with an explicit stack,
+    into (attribute nodes by name, can emit content, can emit an
+    attribute after content), a reference being content.  The late
+    definitions, returned as a frozenset of names, are those whose
+    content can emit an attribute after content.
+    parse_grammar calls this last; Sampler calls it again, so a grammar
+    built from the AST or from_canonical is refused before any draw.
     """
 
     def fail(message, node):
@@ -173,24 +184,52 @@ def check_normal_form(grammar):
     for name, body in grammar.defines.items():
         if not isinstance(body, Element):
             fail("definition %r is not an element pattern" % name, body)
-    for pat in [grammar.start, *grammar.defines.values()]:
-        for node in iter_nodes(pat):
-            if isinstance(node, Ref) and node.name not in grammar.defines:
-                fail("reference to undefined pattern %r" % node.name, node)
-            elif isinstance(node, Element) and node is not pat:
-                fail("element %r is nested in a pattern; an element occurs "
-                     "only as a definition body" % node.name, node)
-            elif isinstance(node, Attribute):
-                for inner in iter_nodes(node.content):
-                    if isinstance(inner, (Element, Ref)):
-                        fail("attribute %r contains an element pattern" % node.name, node)
-                    if isinstance(inner, Attribute) and inner is not node:
-                        fail("attribute %r contains another attribute" % node.name, node)
+    late, duplicate = [], None
+    roots = [(b.name, b.content, n) for n, b in grammar.defines.items()]
+    for element, root, name in [(None, grammar.start, None), *roots]:
+        done = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):  # both sides of node[0] are done
+                right, left = done.pop(), done.pop()
+                after = left[2] or right[2]
+                if isinstance(node[0], Group):
+                    after = after or left[1] and bool(right[0])
+                    shared = sorted(left[0].keys() & right[0].keys())
+                    if shared and not duplicate:
+                        duplicate = (
+                            "duplicate attribute %r on element %r"
+                            % (shared[0], element), right[0][shared[0]],
+                        )
+                done.append(({**left[0], **right[0]}, left[1] or right[1], after))
+            elif isinstance(node, (Choice, Group)):
+                stack += ((node,), node.right, node.left)
             elif isinstance(node, OneOrMore):
                 # a repeated attribute would always serialize as a duplicate
                 for inner in iter_nodes(node.child):
                     if isinstance(inner, Attribute):
                         fail("attribute %r inside oneOrMore would repeat" % inner.name, inner)
+                stack.append(node.child)
+            elif isinstance(node, Attribute):
+                for inner in iter_nodes(node.content):
+                    if isinstance(inner, (Element, Ref)):
+                        fail("attribute %r contains an element pattern" % node.name, node)
+                    if isinstance(inner, Attribute):
+                        fail("attribute %r contains another attribute" % node.name, node)
+                done.append(({node.name: node}, False, False))
+            elif isinstance(node, Ref) and node.name not in grammar.defines:
+                fail("reference to undefined pattern %r" % node.name, node)
+            elif isinstance(node, Element):
+                fail("element %r is nested in a pattern; an element occurs "
+                     "only as a definition body" % node.name, node)
+            else:
+                done.append(({}, isinstance(node, (Ref, Text, Data, Value)), False))
+        if done[0][2]:
+            late.append(name)
+    if duplicate:
+        fail(*duplicate)
+    return frozenset(late)
 
 
 # ---------------------------------------------------------------------------

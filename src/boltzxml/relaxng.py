@@ -323,46 +323,56 @@ def _inline(start, defines, source):
     """Substitute non-element definitions into their use sites.
 
     A cycle among such definitions means recursion that never crosses an
-    element, which would admit infinitely many documents of one size."""
+    element, which would admit infinitely many documents of one size.
+    They are resolved depth first with a stack of reference iterators, so
+    a long chain of definitions does not recurse."""
     element_defs = {n: b for n, b in defines.items() if isinstance(b, ast.Element)}
     other_defs = {n: b for n, b in defines.items() if n not in element_defs}
-    resolved = {}
+    if not other_defs:
+        return start, element_defs
 
-    def expand(name, trail):
-        if name in resolved:
-            return resolved[name]
-        if name in trail:
-            cycle = trail[trail.index(name):] + [name]
-            node = other_defs[name]
-            raise GrammarError(
-                "recursive definition without an intervening element: %s"
-                % " -> ".join(cycle),
-                **_located(source, node),
-            )
-        result = subst(other_defs[name], trail + [name])
-        resolved[name] = result
-        return result
+    def refs(p):
+        return (
+            n.name for n in ast.iter_nodes(p)
+            if isinstance(n, ast.Ref) and n.name in other_defs
+        )
 
-    def subst(p, trail):
+    def subst(p):
         if isinstance(p, ast.Ref):
-            if p.name in other_defs:
-                return expand(p.name, trail)
-            return p
+            return resolved.get(p.name, p)
         if isinstance(p, (ast.Choice, ast.Group)):
-            return type(p)(subst(p.left, trail), subst(p.right, trail), loc=p.loc)
+            return type(p)(subst(p.left), subst(p.right), loc=p.loc)
         if isinstance(p, ast.OneOrMore):
-            return ast.OneOrMore(subst(p.child, trail), loc=p.loc)
+            return ast.OneOrMore(subst(p.child), loc=p.loc)
         if isinstance(p, ast.Attribute):
-            return ast.Attribute(p.name, subst(p.content, trail), ns=p.ns, loc=p.loc)
+            return ast.Attribute(p.name, subst(p.content), ns=p.ns, loc=p.loc)
         if isinstance(p, ast.Element):
-            return ast.Element(p.name, subst(p.content, trail), ns=p.ns, loc=p.loc)
+            return ast.Element(p.name, subst(p.content), ns=p.ns, loc=p.loc)
         return p
 
-    start2 = subst(start, [])
-    out = {}
-    for name, body in element_defs.items():
-        out[name] = subst(body, [])
-    return start2, out
+    resolved = {}
+    trail = {}  # the definitions being resolved, outermost first
+    todo = [(n for p in (start, *element_defs.values()) for n in refs(p))]
+    while todo:
+        for name in todo[-1]:
+            if name in resolved:
+                continue
+            if name in trail:
+                cycle = [*trail, name]
+                raise GrammarError(
+                    "recursive definition without an intervening element: %s"
+                    % " -> ".join(cycle[cycle.index(name):]),
+                    **_located(source, other_defs[name]),
+                )
+            trail[name] = None
+            todo.append(refs(other_defs[name]))
+            break
+        else:
+            todo.pop()
+            if trail:
+                name = trail.popitem()[0]
+                resolved[name] = subst(other_defs[name])
+    return subst(start), {name: subst(body) for name, body in element_defs.items()}
 
 
 def _prune(start, defines):

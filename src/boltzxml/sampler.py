@@ -31,9 +31,10 @@ On acceptance the structure stream is re-seeded and skips the rejected
 attempts' uniforms, and the accepted attempt is replayed by _walk_write,
 which writes the document's UTF-8 bytes while it is generated, with no
 event objects in between.  An element whose attributes can follow its
-content (a late element) has its start tag held back until it ends, so
-the bytes beneath the outermost open late element wait in one buffer;
-all others go straight to the sink.  Both walks push a repetition's
+content (a late element, which ast.check_normal_form finds when the
+sampler is built) has its start tag held back until it ends, so the
+bytes beneath the outermost open late element wait in one buffer; all
+others go straight to the sink.  Both walks push a repetition's
 copies of its child a chunk at a time, under a frame that pushes the
 next chunk when it is popped, so a document's memory follows its depth
 times the chunk times a child's ops, plus the largest late subtree, plus
@@ -194,6 +195,7 @@ class Sampler:
     """Prepared sampler for one grammar and its oracle."""
 
     def __init__(self, grammar, oracle, *, system=None):
+        self.late = ast.check_normal_form(grammar)
         self.grammar = grammar
         self.oracle = oracle
         self.system = system if system is not None else compile_grammar(grammar)
@@ -243,15 +245,15 @@ class Sampler:
         """Build the event plan, then the smallest sizes and the counting
         plan from it.
 
-        Event ops per definition are (_ELEM, head, children, end, name);
-        head is the encoded '<name' with any xmlns, end the shared
-        (_END, b'</name>').  A late definition, one whose element can take
-        an attribute after content, has (_LATE_ELEM, ...) with the end
-        (_LATE_END, b'</name>', head), and its attributes are _LATE_ATTR
-        ops.  Compiling the events decides everything about the draws:
-        which branches of a choice are live, when a choice of one live
-        branch or a repetition of a weightless child is no draw at all,
-        and each choice's CDF.
+        Event ops per definition are (_ELEM, head, children, end, define),
+        define being its name; head is the encoded '<tag' with any xmlns,
+        end the shared (_END, b'</tag>').  A late definition (see
+        check_normal_form) has (_LATE_ELEM, ...) with the end (_LATE_END,
+        b'</tag>', head), and its attributes are _LATE_ATTR ops.  Compiling
+        the events decides everything about the draws: which branches of a
+        choice are live, when a choice of one live branch is no draw at
+        all, when an attribute of weight 0 or a repetition of a weightless
+        child is a dead end, and each choice's CDF.
 
         The counting plan is the event plan with the draw-free ops
         removed: a choice, a repetition or a dead end keeps its op, with
@@ -267,12 +269,7 @@ class Sampler:
         draws; one that aborts stops at the draw that passes the ceiling,
         which changed the accepted attempt of most seeds when it came in."""
         self._event_elem = {}
-        self._def_of = {}  # id of an element op -> its definition
         g = self.grammar
-        self.late = frozenset(
-            name for name, body in g.defines.items()
-            if self._scan_late(body.content, body.name)[2]
-        )
         for name, body in g.defines.items():
             head = "<" + body.name
             if body.ns:
@@ -283,9 +280,7 @@ class Sampler:
                 op = (_LATE_ELEM, head, [], (_LATE_END, end, head))
             else:
                 op = (_ELEM, head, [], (_END, end))
-            op += (body.name,)
-            self._event_elem[name] = op
-            self._def_of[id(op)] = name
+            self._event_elem[name] = op + (name,)
         for name, body in g.defines.items():
             self._event_elem[name][2].extend(
                 _rev(self._compile_events(body.content, name in self.late))
@@ -311,41 +306,6 @@ class Sampler:
             ops, events = todo.pop()
             ops.extend(self._count_ops(events, todo))
 
-    def _scan_late(self, p, element):
-        """(attribute names, can emit content, attribute after content)
-        of a pattern in the content of element; a reference's element has
-        its own names.  A group whose two sides share a name, or a
-        repetition over an attribute, could write one name twice, which
-        RELAX NG forbids whatever the weights (section 7.3 of the 2001
-        specification), so it raises SamplingError.  Names compare as the
-        writer writes them, without their namespace."""
-        if isinstance(p, (ast.Text, ast.Data, ast.Value)):
-            return (frozenset(), True, False)
-        if isinstance(p, (ast.Empty, ast.NotAllowed)):
-            return (frozenset(), False, False)
-        if isinstance(p, ast.Attribute):
-            return (frozenset((p.name,)), False, False)
-        if isinstance(p, (ast.Ref, ast.Element)):
-            return (frozenset(), True, False)
-        if isinstance(p, ast.Choice):
-            la = self._scan_late(p.left, element)
-            ra = self._scan_late(p.right, element)
-            return (la[0] | ra[0], la[1] or ra[1], la[2] or ra[2])
-        if isinstance(p, ast.Group):
-            la = self._scan_late(p.left, element)
-            ra = self._scan_late(p.right, element)
-            _refuse_duplicate(la[0] & ra[0], element)
-            return (
-                la[0] | ra[0],
-                la[1] or ra[1],
-                la[2] or ra[2] or (la[1] and bool(ra[0])),
-            )
-        if isinstance(p, ast.OneOrMore):
-            ca = self._scan_late(p.child, element)
-            _refuse_duplicate(ca[0], element)
-            return ca
-        raise SamplingError("unexpected pattern %s" % type(p).__name__)
-
     def _live_branches(self, p):
         """(weight, branch) pairs of a choice's branches of positive weight."""
         if isinstance(p, ast.Choice):
@@ -369,6 +329,8 @@ class Sampler:
         if isinstance(p, ast.Value):
             return ((_LIT, _esc_text(p.literal).encode()),)
         if isinstance(p, ast.Attribute):
+            if self.weight(p) <= 0.0:
+                return ((_DEAD,),)
             value = self._compile_value(p.content)
             if not late:
                 return ((_ATTR, p.name, value),)
@@ -433,7 +395,7 @@ class Sampler:
         for op in ops:
             k = op[0]
             if k == _ELEM or k == _LATE_ELEM:
-                m += self._mins[self._def_of[id(op)]]
+                m += self._mins[op[4]]
             elif k == _ATTR or k == _LATE_ATTR:
                 m += 1
             elif k == _CHOICE:
@@ -455,7 +417,7 @@ class Sampler:
         for op in ops:
             k = op[0]
             if k == _ELEM or k == _LATE_ELEM:
-                out += self._count_defs[self._def_of[id(op)]]
+                out += self._count_defs[op[4]]
             elif k == _CHOICE:
                 sizes = [self._min_of(b) for b in op[2]]
                 low = min(sizes)
@@ -491,9 +453,8 @@ class Sampler:
         if isinstance(p, ast.Group):
             return ("cat", self._compile_value(p.left), self._compile_value(p.right))
         if isinstance(p, ast.Choice):
+            # the attribute has weight, so a choice here has a live branch
             live = self._live_branches(p)
-            if not live:
-                return ("dead",)
             if len(live) == 1:
                 return self._compile_value(live[0][1])
             return ("alt", _choice_cdf(live), tuple(self._compile_value(b) for _, b in live))
@@ -632,14 +593,12 @@ class Sampler:
             return self._sample_value(plan[1], rng, registry) + self._sample_value(
                 plan[2], rng, registry
             )
-        if tag == "alt":
-            u = rng.random()
-            cps = plan[1]
-            i = 0
-            while u >= cps[i]:
-                i += 1
-            return self._sample_value(plan[2][i], rng, registry)
-        raise SamplingError("dead value branch executed")
+        u = rng.random()  # "alt"
+        cps = plan[1]
+        i = 0
+        while u >= cps[i]:
+            i += 1
+        return self._sample_value(plan[2][i], rng, registry)
 
     def _walk_write(self, rng_s, rng_v, registry, sink):
         """Replay an attempt that _count_walk finished, from its first
@@ -878,13 +837,6 @@ class _Stream(random.Random):
         while draws > 0:
             self.getrandbits(64 * min(draws, _SKIP_CHUNK))
             draws -= _SKIP_CHUNK
-
-
-def _refuse_duplicate(names, element):
-    if names:
-        raise SamplingError(
-            "duplicate attribute %r on element %r" % (min(names), element)
-        )
 
 
 def _write_region(sink, tag, region, heads, marks):

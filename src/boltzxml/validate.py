@@ -10,8 +10,9 @@ Children are matched before their parents, with an explicit stack, so the
 recursion follows only the grammar's nesting, never the document's.  Each
 document node gets the set of definitions' element patterns it matches,
 built from its children's sets; a reference in content is then a
-membership test on the child's set.  An element inside content, which
-from_canonical may leave, is matched when first asked and remembered.
+membership test on the child's set.  The grammar must be in normal form
+(ast.check_normal_form), as parse_grammar leaves it, so every element is
+a definition's body.
 
 Accepts either DocNode trees or xml.etree elements.
 """
@@ -49,10 +50,10 @@ def _view(node):
     raise TypeError("cannot validate %r" % type(node).__name__)
 
 
-def _element_ok(p, view, child_ok):
+def _element_ok(p, view, defines, matched):
     """Whether a document node, seen as view, matches the element pattern
-    p.  child_ok(child, pattern) says whether an element child matches a
-    reference or an element in p's content."""
+    p; matched holds, by id, the definitions' elements each of its
+    element children matches."""
     uri, local, attrs, children = view
     if local not in (p.name, p.name.split(":")[-1]):
         return False
@@ -84,11 +85,12 @@ def _element_ok(p, view, child_ok):
                     bit = 1 << i
                     out.update((used | bit, c) for used, c in current if not used & bit)
             return out
-        if t is ast.Ref or t is ast.Element:
+        if t is ast.Ref:
             return {
                 (used, c + 1)
                 for used, c in current
-                if c < len(children) and child_ok(children[c], q)
+                if c < len(children)
+                and id(defines[q.name]) in matched[id(children[c])]
             }
         if t is ast.NotAllowed:
             return set()
@@ -101,7 +103,8 @@ def _element_ok(p, view, child_ok):
 
 
 def matches(grammar, doc):
-    """True when the document's structure is derivable from the grammar.
+    """True when the document's structure is derivable from the grammar,
+    which must be in normal form.
 
     doc is a DocNode or an xml.etree Element (the document root)."""
     defines = grammar.defines
@@ -110,17 +113,6 @@ def matches(grammar, doc):
         for name in {body.name, body.name.split(":")[-1]}:
             by_name.setdefault(name, []).append(body)
     matched = {}  # id of a document node -> ids of the element patterns it matches
-    inline = {}  # (id of a document node, id of an inline element) -> verdict
-
-    def child_ok(child, p):
-        if type(p) is ast.Ref:
-            return id(defines[p.name]) in matched[id(child)]
-        # an element inside content, as from_canonical may leave one
-        key = (id(child), id(p))
-        ok = inline.get(key)
-        if ok is None:
-            ok = inline[key] = _element_ok(p, _view(child), child_ok)
-        return ok
 
     # children first; a node is pushed back with its view above its children
     stack = [(doc, None)]
@@ -135,7 +127,7 @@ def matches(grammar, doc):
         else:
             candidates = by_name.get(view[1], ())
             matched[id(node)] = {
-                id(p) for p in candidates if _element_ok(p, view, child_ok)
+                id(p) for p in candidates if _element_ok(p, view, defines, matched)
             }
 
     root = matched[id(doc)]

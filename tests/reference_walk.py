@@ -22,8 +22,9 @@ def reference_events(sampler, rng_s, rng_v, ceiling, registry):
 
     It makes the writer walk's draws, but builds each start event when
     its element opens and completes its attributes when it ends, so it
-    needs no region buffer.  An element's namespace is read back from
-    its encoded head, a literal's text from its escaped bytes.  It raises
+    needs no region buffer.  An element's tag is read from its
+    definition, its namespace back from its encoded head and a literal's
+    text from its escaped bytes.  It raises
     CeilingExceededError as soon as the size drawn passes ceiling, a
     repetition counting one per copy when it draws its count, so it may
     draw on past the point where the counting walk aborts."""
@@ -40,7 +41,8 @@ def reference_events(sampler, rng_s, rng_v, ceiling, registry):
                 raise CeilingExceededError(ceiling)
             _, _, ns = op[1].decode().partition(' xmlns="')
             ns = html.unescape(ns[:-1]) if ns else None
-            open_stack.append((len(out), op[4], [], ns))
+            name = sampler.grammar.defines[op[4]].name
+            open_stack.append((len(out), name, [], ns))
             out.append(None)
             stack.append(op[3])
             stack.extend(op[2])

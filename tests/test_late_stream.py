@@ -35,7 +35,7 @@ from boltzxml import (
     solve,
 )
 from boltzxml.cli import EXIT_INPUT, main
-from boltzxml.errors import SamplingError
+from boltzxml.errors import GrammarError, SamplingError
 
 from reference_walk import reference_events
 
@@ -232,16 +232,20 @@ def test_late_duplicate_attribute_raises_like_the_serializer():
     ]
     with pytest.raises(SamplingError, match=message):
         serialize_stream(events, io.BytesIO())
-    # the grammar is refused when the sampler is built, before any draw
-    with pytest.raises(SamplingError, match=message):
-        make_sampler(g(LATE_DUPLICATE), 0.3)
+    # the parser refuses the grammar, with the line of the second 'k'
+    with pytest.raises(GrammarError, match=message) as info:
+        g(LATE_DUPLICATE)
+    assert info.value.line is not None
 
 
 def test_late_duplicate_attribute_leaves_no_file(tmp_path, capsys):
     grammar = tmp_path / "dup.rng"
     grammar.write_text("<grammar %s>%s</grammar>" % (RNG, LATE_DUPLICATE))
-    assert main(["compile", str(grammar)]) == 0
-    assert main(["solve", str(tmp_path / "dup.gfs"), "--x", "0.3"]) == 0
+    # the parser refuses it, with its line, so compile writes no system
+    assert main(["compile", str(grammar)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "dup.rng:1:" in err and "duplicate attribute 'k' on element 'a'" in err
+    assert not (tmp_path / "dup.gfs").exists()
     docs = tmp_path / "docs"
     code = main([
         "sample", str(grammar), str(tmp_path / "dup.oracle"),

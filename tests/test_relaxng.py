@@ -318,6 +318,100 @@ def test_combine_value_must_be_choice_or_interleave():
     assert e.line is not None
 
 
+def _chain(length, last):
+    """A start reference to d0, definitions d0 -> d1 -> ... that are only
+    references, and d<length> = last."""
+    return (
+        '<start><ref name="d0"/></start>'
+        + "".join(
+            '<define name="d%d"><ref name="d%d"/></define>' % (i, i + 1)
+            for i in range(length)
+        )
+        + '<define name="d%d">%s</define>' % (length, last)
+    )
+
+
+def test_a_long_chain_of_non_element_definitions_parses():
+    # resolved with an explicit stack: the recursive inliner raised
+    # RecursionError from about 600 definitions
+    grammar = g(_chain(3000, '<element name="e"><text/></element>'))
+    assert grammar.start == Ref("d3000")
+    assert list(grammar.defines) == ["d3000"]
+
+
+def test_a_long_cycle_of_non_element_definitions_is_located():
+    text = "<grammar %s>%s</grammar>" % (RNG, _chain(2999, '<ref name="d0"/>'))
+    with pytest.raises(GrammarError) as info:
+        parse_grammar(text)
+    chain = " -> ".join("d%d" % i for i in range(3000))
+    assert info.value.message == (
+        "recursive definition without an intervening element: %s -> d0" % chain
+    )
+    # at the body of d0, where the cycle closes
+    at = text.index('<ref name="d1"/>') + 1
+    assert (info.value.line, info.value.column) == (1, at)
+
+
+_DUPLICATE_K = "duplicate attribute 'k' on element 'a'"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '<start><element name="a"><interleave><attribute name="k"/><text/>'
+        '\n<attribute name="k"/></interleave></element></start>',
+        '<start><element name="a"><ref name="ks"/></element></start>'
+        '<define name="ks" combine="interleave"><attribute name="k"/></define>'
+        '\n<define name="ks" combine="interleave"><attribute name="k"/></define>',
+        '<start><element name="a"><attribute name="k"/><mixed>'
+        '\n<attribute name="k"/></mixed></element></start>',
+        '<start><element name="a"><optional><attribute name="k"/></optional>'
+        '\n<optional><attribute name="k"/></optional></element></start>',
+        '<start><element name="a"><attribute name="k"/><optional>'
+        '\n<attribute name="k"/></optional></element></start>',
+        '<start><element name="a"><group><text/><group><attribute name="j"/>'
+        '<attribute name="k"/></group></group><group><empty/>'
+        '\n<attribute name="k"/></group></element></start>',
+    ],
+    ids=[
+        "interleave", "combine-interleave", "mixed", "optional-both",
+        "optional-one", "nested-groups",
+    ],
+)
+def test_duplicate_attributes_are_refused_at_parse_time(body):
+    # RELAX NG section 7.3: one name on two sides of a group, however
+    # sugar builds the group, is refused at the second attribute
+    e = err(body)
+    assert e.message == _DUPLICATE_K
+    assert e.line == 2
+
+
+def test_attribute_names_that_cannot_meet_parse():
+    # one name in two branches of a choice, or on an element and its child
+    grammar = g(
+        '<start><element name="a"><choice><attribute name="k"/>'
+        '<attribute name="k"/></choice><element name="b"><attribute name="k"/>'
+        "</element></element></start>"
+    )
+    assert check_normal_form(grammar) == frozenset()
+
+
+def test_check_normal_form_returns_the_late_definitions():
+    # a late element can take an attribute after content: text, data, a
+    # value or a reference before it, on one side of a group
+    grammar = g(
+        '<start><ref name="a"/></start>'
+        '<define name="a"><element name="a"><attribute name="k"/><ref name="b"/>'
+        "<optional><ref name='c'/></optional></element></define>"
+        '<define name="b"><element name="b"><ref name="c"/><optional>'
+        '<attribute name="k"/></optional></element></define>'
+        '<define name="c"><element name="c"><choice><text/><empty/></choice>'
+        '<zeroOrMore><ref name="c"/></zeroOrMore><choice><empty/>'
+        '<attribute name="j"/></choice></element></define>'
+    )
+    assert check_normal_form(grammar) == {"b", "c"}
+
+
 def test_bad_name_token():
     e = err('<start><element name="1bad"><empty/></element></start>')
     assert "name" in str(e)

@@ -2,6 +2,7 @@
 two-pass replay machinery, and the walk that writes bytes to a sink."""
 
 import io
+import math
 import random
 import statistics
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from boltzxml import (
     CeilingExceededError,
     ExhaustedError,
+    GrammarError,
     MissingDatatypeError,
     EndElement,
     Sampler,
@@ -34,7 +36,7 @@ from boltzxml import (
 )
 from boltzxml import ast
 from boltzxml.cli import EXIT_INPUT, main
-from boltzxml.sampler import _parse_events
+from boltzxml.sampler import _DEAD, _parse_events
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 
@@ -207,6 +209,28 @@ def test_a_long_chain_of_required_definitions_compiles_and_samples():
         + "<%s/>" % names[-1]
         + "".join("</%s>" % name for name in reversed(names[:-1]))
     ).encode()
+
+
+def test_an_attribute_of_no_weight_is_a_dead_end():
+    # b's only attribute can take no value, so the system drops b and its
+    # smallest size is infinite; the sampler once failed to build on it,
+    # compiling the attribute's value
+    grammar = g(
+        '<start><ref name="a"/></start><define name="a"><element name="a">'
+        '<optional><ref name="b"/></optional></element></define>'
+        '<define name="b"><element name="b"><attribute name="k"><notAllowed/>'
+        "</attribute></element></define>"
+    )
+    system = compile_grammar(grammar)
+    assert "b" not in system.classes
+    sampler = Sampler(grammar, solve(system, 0.5), system=system)
+    assert sampler._mins == {"a": 1, "b": math.inf}
+    assert sampler._count_defs["b"] == ((_DEAD,),)
+    for seed in range(5):
+        sink = io.BytesIO()
+        config = SamplerConfig(window=SizeWindow(1, 0.0), seed=seed)
+        assert sampler.sample_to_sink(config, sink).size == 1
+        assert sink.getvalue() == b"<a/>"
 
 
 @pytest.mark.parametrize("method", ["sample_in_window", "sample_to_sink"])
@@ -684,9 +708,10 @@ def test_duplicate_attribute_raises_like_the_serializer():
     events = [StartElement("a", (("k", "v"), ("k", "w"))), EndElement("a")]
     with pytest.raises(SamplingError, match=message):
         serialize_stream(events, io.BytesIO())
-    # the grammar is refused when the sampler is built, before any draw
-    with pytest.raises(SamplingError, match=message):
-        make_sampler(g(DUPLICATE), 0.3)
+    # the parser refuses the grammar, with the line of the second 'k'
+    with pytest.raises(GrammarError, match=message) as info:
+        g(DUPLICATE)
+    assert info.value.line is not None
 
 
 def _element_a(content):
@@ -717,29 +742,45 @@ def test_attribute_names_that_cannot_meet_sample(content):
                 assert [k for k, _ in event.attributes] == ["k"]
 
 
-@pytest.mark.parametrize("grammar", [
+_CAN_MEET = {
     # the writer writes a namespaced attribute by its local name
-    _element_a('<attribute name="k"/><attribute name="k" ns="urn:x"/>'),
+    "namespace": '<attribute name="k"/><attribute name="k" ns="urn:x"/>',
     # either side of a group can hold the name anywhere beneath it
-    _element_a(
+    "nested": (
         '<optional><attribute name="k"/></optional><zeroOrMore><ref name="a"/>'
         '</zeroOrMore><choice><empty/><group><text/><attribute name="k"/>'
         '</group></choice>'
     ),
-    # a repeated attribute built in code: relaxng, which refuses it with
-    # its line, never sees these
-    ast.from_canonical(
-        'start\n  ref "a"\ndefine "a"\n  element "a"\n    oneOrMore\n'
-        '      attribute "k"\n        text\n'
-    ),
-    ast.Grammar(
-        ast.Ref("a"),
-        {"a": ast.Element("a", ast.OneOrMore(ast.Attribute("k", ast.Text())))},
-    ),
-], ids=["namespace", "nested", "canonical", "ast"])
-def test_attribute_names_that_can_meet_are_refused(grammar):
-    with pytest.raises(SamplingError, match="duplicate attribute 'k' on element 'a'"):
-        make_sampler(grammar, 0.1)
+}
+
+
+@pytest.mark.parametrize("case", ["namespace", "nested", "canonical", "ast"])
+def test_attribute_names_that_can_meet_are_refused(case):
+    # built in the body: a grammar the parser refuses at collection time
+    # would stop the whole module from collecting
+    message = "duplicate attribute 'k' on element 'a'"
+    if case in _CAN_MEET:
+        with pytest.raises(GrammarError, match=message) as info:
+            _element_a(_CAN_MEET[case])
+        assert info.value.line is not None
+        return
+    # built in code, so relaxng never sees them: Sampler refuses them
+    if case == "canonical":
+        grammar = ast.from_canonical(
+            'start\n  ref "a"\ndefine "a"\n  element "a"\n    group\n'
+            '      attribute "k"\n        text\n      attribute "k"\n'
+            '        text\n'
+        )
+    else:
+        message = "attribute 'k' inside oneOrMore would repeat"
+        grammar = ast.Grammar(
+            ast.Ref("a"),
+            {"a": ast.Element("a", ast.OneOrMore(ast.Attribute("k", ast.Text())))},
+        )
+    system = compile_grammar(grammar)
+    oracle = solve(system, 0.1)
+    with pytest.raises(GrammarError, match=message):
+        Sampler(grammar, oracle, system=system)
 
 
 def test_events_of_a_document_that_does_not_parse_raise():
@@ -757,8 +798,11 @@ def test_events_of_a_document_that_does_not_parse_raise():
 def test_duplicate_attribute_leaves_no_file(tmp_path, capsys):
     grammar = tmp_path / "dup.rng"
     grammar.write_text("<grammar %s>%s</grammar>" % (RNG, DUPLICATE))
-    assert main(["compile", str(grammar)]) == 0
-    assert main(["solve", str(tmp_path / "dup.gfs"), "--x", "0.3"]) == 0
+    # the parser refuses it, with its line, so compile writes no system
+    assert main(["compile", str(grammar)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "dup.rng:1:" in err and "duplicate attribute 'k'" in err
+    assert not (tmp_path / "dup.gfs").exists()
     docs = tmp_path / "docs"
     code = main([
         "sample", str(grammar), str(tmp_path / "dup.oracle"),
@@ -779,8 +823,9 @@ def test_rare_duplicate_attribute_is_refused_before_any_document(tmp_path, capsy
         '<optional><attribute name="k"/></optional><zeroOrMore><ref name="a"/>'
         '</zeroOrMore></element></define></grammar>' % RNG
     )
-    assert main(["compile", str(grammar)]) == 0
-    assert main(["solve", str(tmp_path / "rare.gfs"), "--x", "0.1"]) == 0
+    assert main(["compile", str(grammar)]) == EXIT_INPUT
+    assert "duplicate attribute 'k' on element 'a'" in capsys.readouterr().err
+    assert not (tmp_path / "rare.gfs").exists()
     docs, stats = tmp_path / "docs", tmp_path / "s.ndjson"
     code = main([
         "sample", str(grammar), str(tmp_path / "rare.oracle"), "-n", "3",

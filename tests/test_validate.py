@@ -4,14 +4,17 @@ mutations of it."""
 import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from boltzxml import (
     DocNode,
+    GrammarError,
     doc_to_xml,
     enumerate_documents,
     matches,
     parse_grammar,
 )
-from boltzxml.ast import from_canonical
+from boltzxml.ast import check_normal_form, from_canonical
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 
@@ -179,7 +182,8 @@ def test_deep_documents_need_no_recursion_limit(monkeypatch):
 
 
 def test_inline_element_patterns():
-    # from_canonical keeps an element pattern inside content as it is
+    # from_canonical keeps an element pattern inside content as it is;
+    # matches takes a grammar in normal form, which refuses it
     grammar = from_canonical(
         "start\n"
         '  ref "r"\n'
@@ -190,7 +194,8 @@ def test_inline_element_patterns():
         '        attribute "x"\n'
         "          text\n"
     )
+    with pytest.raises(GrammarError):
+        check_normal_form(grammar)
     child = DocNode("c", (("x", "1"),))
-    assert matches(grammar, DocNode("r", (), (child, child)))
-    assert not matches(grammar, DocNode("r", (), (child, DocNode("c"))))
-    assert not matches(grammar, DocNode("r"))
+    with pytest.raises(TypeError, match="unexpected pattern Element"):
+        matches(grammar, DocNode("r", (), (child, child)))
