@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
 from .errors import GrammarError
 
@@ -29,6 +31,7 @@ __all__ = [
     "NotAllowed",
     "Grammar",
     "iter_nodes",
+    "fold",
     "check_normal_form",
     "to_canonical",
     "from_canonical",
@@ -123,14 +126,14 @@ class Grammar:
     source: str | None = field(default=None, compare=False)
 
 
-def _children(p):
-    if isinstance(p, (Choice, Group)):
-        return (p.left, p.right)
-    if isinstance(p, OneOrMore):
-        return (p.child,)
-    if isinstance(p, (Element, Attribute)):
-        return (p.content,)
-    return ()
+# a node's children, last first, by the node's type; leaves have none
+_KIDS = {
+    Choice: attrgetter("right", "left"),
+    Group: attrgetter("right", "left"),
+    OneOrMore: lambda p: (p.child,),
+    Element: lambda p: (p.content,),
+    Attribute: lambda p: (p.content,),
+}
 
 
 def iter_nodes(pattern):
@@ -139,7 +142,33 @@ def iter_nodes(pattern):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_children(node)))
+        if type(node) in _KIDS:
+            stack += _KIDS[type(node)](node)
+
+
+def fold(pattern, visit):
+    """Fold a pattern bottom up with an explicit stack, so no nesting
+    reaches the recursion limit, and return the root's value.  visit(node,
+    values) gets each node with its children's values, left to right, as
+    a recursive walk would make them; a subtree reached twice is folded
+    twice."""
+    values = []
+    stack = [pattern]
+    pop, kids_of = stack.pop, _KIDS.get
+    while stack:
+        node = pop()
+        if type(node) is tuple:  # the children of node[0] are folded
+            node, n = node
+            values[-n:] = [visit(node, values[-n:])]
+            continue
+        kids = kids_of(type(node))
+        if kids is None:
+            values.append(visit(node, ()))
+        else:
+            kids = kids(node)
+            stack.append((node, len(kids)))
+            stack += kids
+    return values[0]
 
 
 def check_normal_form(grammar):
@@ -191,26 +220,41 @@ def check_normal_form(grammar):
         stack = [root]
         while stack:
             node = stack.pop()
-            if isinstance(node, tuple):  # both sides of node[0] are done
+            if isinstance(node, tuple) and isinstance(node[0], OneOrMore):
+                # its child is done; a repeated attribute would always
+                # serialize as a duplicate
+                attrs = done[-1][0]
+                if attrs:
+                    inner = attrs[min(attrs)]
+                    fail("attribute %r inside oneOrMore would repeat" % inner.name, inner)
+            elif isinstance(node, tuple):  # both sides of node[0] are done
                 right, left = done.pop(), done.pop()
                 after = left[2] or right[2]
                 if isinstance(node[0], Group):
                     after = after or left[1] and bool(right[0])
-                    shared = sorted(left[0].keys() & right[0].keys())
+                # the smaller map goes into the larger, so a deep pattern
+                # merges in linear time; the right side's node wins
+                small, large = left[0], right[0]
+                if len(small) > len(large):
+                    small, large = large, small
+                if small and isinstance(node[0], Group):
+                    shared = [k for k in small if k in large]
                     if shared and not duplicate:
+                        first = min(shared)
                         duplicate = (
-                            "duplicate attribute %r on element %r"
-                            % (shared[0], element), right[0][shared[0]],
+                            "duplicate attribute %r on element %r" % (first, element),
+                            right[0][first],
                         )
-                done.append(({**left[0], **right[0]}, left[1] or right[1], after))
+                if small is right[0]:
+                    large.update(small)
+                else:
+                    for key, inner in small.items():
+                        large.setdefault(key, inner)
+                done.append((large, left[1] or right[1], after))
             elif isinstance(node, (Choice, Group)):
                 stack += ((node,), node.right, node.left)
             elif isinstance(node, OneOrMore):
-                # a repeated attribute would always serialize as a duplicate
-                for inner in iter_nodes(node.child):
-                    if isinstance(inner, Attribute):
-                        fail("attribute %r inside oneOrMore would repeat" % inner.name, inner)
-                stack.append(node.child)
+                stack += ((node,), node.child)
             elif isinstance(node, Attribute):
                 for inner in iter_nodes(node.content):
                     if isinstance(inner, (Element, Ref)):
@@ -243,47 +287,40 @@ def _q(s):
 
 
 def _emit(lines, pattern, depth):
-    ind = _INDENT * depth
-    p = pattern
-    if isinstance(p, Choice):
-        lines.append(ind + "choice")
-        _emit(lines, p.left, depth + 1)
-        _emit(lines, p.right, depth + 1)
-    elif isinstance(p, Group):
-        lines.append(ind + "group")
-        _emit(lines, p.left, depth + 1)
-        _emit(lines, p.right, depth + 1)
-    elif isinstance(p, OneOrMore):
-        lines.append(ind + "oneOrMore")
-        _emit(lines, p.child, depth + 1)
-    elif isinstance(p, Ref):
-        lines.append(ind + "ref " + _q(p.name))
-    elif isinstance(p, Element):
-        head = ind + "element " + _q(p.name)
-        if p.ns is not None:
-            head += " ns=" + _q(p.ns)
-        lines.append(head)
-        _emit(lines, p.content, depth + 1)
-    elif isinstance(p, Attribute):
-        head = ind + "attribute " + _q(p.name)
-        if p.ns is not None:
-            head += " ns=" + _q(p.ns)
-        lines.append(head)
-        _emit(lines, p.content, depth + 1)
-    elif isinstance(p, Text):
-        lines.append(ind + "text")
-    elif isinstance(p, Data):
-        lines.append(ind + "data " + _q(p.type))
-        for name, value in p.params:
-            lines.append(ind + _INDENT + "param " + _q(name) + " " + _q(value))
-    elif isinstance(p, Value):
-        lines.append(ind + "value " + _q(p.type) + " " + _q(p.literal))
-    elif isinstance(p, Empty):
-        lines.append(ind + "empty")
-    elif isinstance(p, NotAllowed):
-        lines.append(ind + "notAllowed")
-    else:  # pragma: no cover
-        raise TypeError("unknown pattern node %r" % p)
+    stack = [(pattern, depth)]
+    while stack:
+        p, depth = stack.pop()
+        ind = _INDENT * depth
+        if isinstance(p, Choice):
+            lines.append(ind + "choice")
+        elif isinstance(p, Group):
+            lines.append(ind + "group")
+        elif isinstance(p, OneOrMore):
+            lines.append(ind + "oneOrMore")
+        elif isinstance(p, Ref):
+            lines.append(ind + "ref " + _q(p.name))
+        elif isinstance(p, (Element, Attribute)):
+            head = ind + type(p).__name__.lower() + " " + _q(p.name)
+            if p.ns is not None:
+                head += " ns=" + _q(p.ns)
+            lines.append(head)
+        elif isinstance(p, Text):
+            lines.append(ind + "text")
+        elif isinstance(p, Data):
+            lines.append(ind + "data " + _q(p.type))
+            for name, value in p.params:
+                lines.append(ind + _INDENT + "param " + _q(name) + " " + _q(value))
+        elif isinstance(p, Value):
+            lines.append(ind + "value " + _q(p.type) + " " + _q(p.literal))
+        elif isinstance(p, Empty):
+            lines.append(ind + "empty")
+        elif isinstance(p, NotAllowed):
+            lines.append(ind + "notAllowed")
+        else:  # pragma: no cover
+            raise TypeError("unknown pattern node %r" % p)
+        kids = _KIDS.get(type(p))
+        if kids:
+            stack += ((kid, depth + 1) for kid in kids(p))
 
 
 def to_canonical(grammar):
@@ -301,6 +338,10 @@ def to_canonical(grammar):
 
 
 _DECODER = json.JSONDecoder()
+
+# how from_canonical builds a choice, group or oneOrMore, and from how many
+# children
+_INNER = {"choice": (Choice, 2), "group": (Group, 2), "oneOrMore": (OneOrMore, 1)}
 
 
 def _tokenize(body, lineno):
@@ -357,55 +398,68 @@ def from_canonical(text):
         return tokens[idx][1]
 
     def parse_pattern(depth):
+        """The pattern whose first row is at depth.  Its rows come in
+        preorder, so frames holds each node still missing children: how to
+        build it, how many it takes and those parsed so far."""
         nonlocal pos
-        if pos >= len(rows) or rows[pos][0] != depth:
-            lineno = rows[pos - 1][2] if pos else 0
-            raise ValueError("line %d: expected a child pattern" % lineno)
-        d, tokens, lineno = rows[pos]
-        pos += 1
-        kind = tokens[0][1] if tokens and tokens[0][0] == "word" else None
-        if kind == "choice":
-            return Choice(parse_pattern(depth + 1), parse_pattern(depth + 1))
-        if kind == "group":
-            return Group(parse_pattern(depth + 1), parse_pattern(depth + 1))
-        if kind == "oneOrMore":
-            return OneOrMore(parse_pattern(depth + 1))
-        if kind == "ref":
-            return Ref(need_str(tokens, 1, "name", lineno))
-        if kind in ("element", "attribute"):
-            name = need_str(tokens, 1, "name", lineno)
-            ns = None
-            if len(tokens) > 2:
-                if tokens[2][0] != "ns":
-                    raise ValueError("line %d: unexpected token after name" % lineno)
-                ns = tokens[2][1]
-            content = parse_pattern(depth + 1)
-            cls = Element if kind == "element" else Attribute
-            return cls(name, content, ns=ns)
-        if kind == "text":
-            return Text()
-        if kind == "empty":
-            return Empty()
-        if kind == "notAllowed":
-            return NotAllowed()
-        if kind == "value":
-            return Value(
-                need_str(tokens, 1, "type", lineno),
-                need_str(tokens, 2, "literal", lineno),
-            )
-        if kind == "data":
-            dtype = need_str(tokens, 1, "type", lineno)
-            params = []
-            while pos < len(rows) and rows[pos][0] == depth + 1:
-                d2, t2, l2 = rows[pos]
-                if not (t2 and t2[0] == ("word", "param")):
-                    raise ValueError("line %d: expected param line" % l2)
-                params.append(
-                    (need_str(t2, 1, "param name", l2), need_str(t2, 2, "param value", l2))
+        frames = []
+        while True:
+            if pos >= len(rows) or rows[pos][0] != depth:
+                lineno = rows[pos - 1][2] if pos else 0
+                raise ValueError("line %d: expected a child pattern" % lineno)
+            d, tokens, lineno = rows[pos]
+            pos += 1
+            kind = tokens[0][1] if tokens and tokens[0][0] == "word" else None
+            if kind in _INNER:
+                frames.append((*_INNER[kind], []))
+                depth += 1
+                continue
+            if kind in ("element", "attribute"):
+                name = need_str(tokens, 1, "name", lineno)
+                ns = None
+                if len(tokens) > 2:
+                    if tokens[2][0] != "ns":
+                        raise ValueError("line %d: unexpected token after name" % lineno)
+                    ns = tokens[2][1]
+                cls = Element if kind == "element" else Attribute
+                frames.append((partial(cls, name, ns=ns), 1, []))
+                depth += 1
+                continue
+            if kind == "ref":
+                node = Ref(need_str(tokens, 1, "name", lineno))
+            elif kind == "text":
+                node = Text()
+            elif kind == "empty":
+                node = Empty()
+            elif kind == "notAllowed":
+                node = NotAllowed()
+            elif kind == "value":
+                node = Value(
+                    need_str(tokens, 1, "type", lineno),
+                    need_str(tokens, 2, "literal", lineno),
                 )
-                pos += 1
-            return Data(dtype, tuple(params))
-        raise ValueError("line %d: unknown node kind %r" % (lineno, kind))
+            elif kind == "data":
+                dtype = need_str(tokens, 1, "type", lineno)
+                params = []
+                while pos < len(rows) and rows[pos][0] == depth + 1:
+                    d2, t2, l2 = rows[pos]
+                    if not (t2 and t2[0] == ("word", "param")):
+                        raise ValueError("line %d: expected param line" % l2)
+                    params.append((
+                        need_str(t2, 1, "param name", l2), need_str(t2, 2, "param value", l2)
+                    ))
+                    pos += 1
+                node = Data(dtype, tuple(params))
+            else:
+                raise ValueError("line %d: unknown node kind %r" % (lineno, kind))
+            # close every node that this one completes
+            while frames and len(frames[-1][2]) + 1 == frames[-1][1]:
+                build, _, kids = frames.pop()
+                node = build(*kids, node)
+                depth -= 1
+            if not frames:
+                return node
+            frames[-1][2].append(node)
 
     start = None
     defines = {}

@@ -54,13 +54,13 @@ def count_coefficients(system, cutoff):
     by_factors = {}
 
     def product(factors):
-        if len(factors) < 2:
-            return series[factors[0]] if factors else unit
-        hit = by_factors.get(factors)
-        if hit is None:
-            left = product(factors[:-1])
-            hit = by_factors[factors] = []
-            products.append((hit, left, series[factors[-1]]))
+        # each prefix of the factors in turn, shortest first
+        hit = series[factors[0]] if factors else unit
+        for k in range(2, len(factors) + 1):
+            left, hit = hit, by_factors.get(factors[:k])
+            if hit is None:
+                hit = by_factors[factors[:k]] = []
+                products.append((hit, left, series[factors[k - 1]]))
         return hit
 
     plans = []  # (class series, [(coeff, xexp, series of the product)])

@@ -65,6 +65,7 @@ from .errors import (
     DivergedError,
     NoFiniteSingularityError,
     OracleMismatchError,
+    SolverError,
     SystemFormatError,
 )
 
@@ -138,7 +139,12 @@ class _NumSystem:
                         [slots.setdefault((j, e - 1), len(slots))]
                         + row[:k] + row[k + 1:]
                     )
-                coeffs.append(float(mon.coeff))
+                try:
+                    coeffs.append(float(mon.coeff))
+                except OverflowError:
+                    raise SolverError(
+                        "a coefficient of class %r is past the float range" % name
+                    ) from None
                 xexps.append(mon.xexp)
                 eqs.append(i)
                 phi_rows.append(row)

@@ -290,33 +290,38 @@ def _hoist(start, defines, source):
         used.add(name)
         return name
 
-    def tx(p, at_root):
-        if isinstance(p, ast.Element):
-            content = tx(p.content, False)
-            elem = ast.Element(p.name, content, ns=p.ns, loc=p.loc)
-            if at_root:
-                return elem
-            fresh = alloc(p.name)
-            new_defines[fresh] = elem
-            return ast.Ref(fresh, loc=p.loc)
-        if isinstance(p, (ast.Choice, ast.Group)):
-            return type(p)(tx(p.left, False), tx(p.right, False), loc=p.loc)
-        if isinstance(p, ast.OneOrMore):
-            return ast.OneOrMore(tx(p.child, False), loc=p.loc)
-        if isinstance(p, ast.Attribute):
-            return ast.Attribute(p.name, tx(p.content, False), ns=p.ns, loc=p.loc)
+    def tx(p, kids):
         if isinstance(p, ast.Ref) and p.name not in defines:
             raise GrammarError(
                 "reference to undefined pattern %r" % p.name, **_located(source, p)
             )
-        return p
+        p = _rebuild(p, kids)
+        if not isinstance(p, ast.Element):
+            return p
+        fresh = alloc(p.name)
+        new_defines[fresh] = p
+        return ast.Ref(fresh, loc=p.loc)
 
-    start2 = tx(start, False)
+    start2 = ast.fold(start, tx)
     out = {}
     for name, body in defines.items():
-        out[name] = tx(body, isinstance(body, ast.Element))
+        if isinstance(body, ast.Element):  # the body itself stays
+            out[name] = _rebuild(body, (ast.fold(body.content, tx),))
+        else:
+            out[name] = ast.fold(body, tx)
     out.update(new_defines)
     return start2, out
+
+
+def _rebuild(p, kids):
+    """A node like p with the children kids; a leaf is p itself."""
+    if isinstance(p, (ast.Choice, ast.Group)):
+        return type(p)(*kids, loc=p.loc)
+    if isinstance(p, ast.OneOrMore):
+        return ast.OneOrMore(*kids, loc=p.loc)
+    if isinstance(p, (ast.Attribute, ast.Element)):
+        return type(p)(p.name, *kids, ns=p.ns, loc=p.loc)
+    return p
 
 
 def _inline(start, defines, source):
@@ -337,18 +342,10 @@ def _inline(start, defines, source):
             if isinstance(n, ast.Ref) and n.name in other_defs
         )
 
-    def subst(p):
+    def subst(p, kids):
         if isinstance(p, ast.Ref):
             return resolved.get(p.name, p)
-        if isinstance(p, (ast.Choice, ast.Group)):
-            return type(p)(subst(p.left), subst(p.right), loc=p.loc)
-        if isinstance(p, ast.OneOrMore):
-            return ast.OneOrMore(subst(p.child), loc=p.loc)
-        if isinstance(p, ast.Attribute):
-            return ast.Attribute(p.name, subst(p.content), ns=p.ns, loc=p.loc)
-        if isinstance(p, ast.Element):
-            return ast.Element(p.name, subst(p.content), ns=p.ns, loc=p.loc)
-        return p
+        return _rebuild(p, kids)
 
     resolved = {}
     trail = {}  # the definitions being resolved, outermost first
@@ -371,8 +368,10 @@ def _inline(start, defines, source):
             todo.pop()
             if trail:
                 name = trail.popitem()[0]
-                resolved[name] = subst(other_defs[name])
-    return subst(start), {name: subst(body) for name, body in element_defs.items()}
+                resolved[name] = ast.fold(other_defs[name], subst)
+    return ast.fold(start, subst), {
+        name: ast.fold(body, subst) for name, body in element_defs.items()
+    }
 
 
 def _prune(start, defines):

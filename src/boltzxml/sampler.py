@@ -13,10 +13,15 @@ counting pass draws only structure and aborts as soon as no document can
 fit under the upper bound.  Its plan is the replay's event plan with the
 draw-free ops removed: choices, repetitions and dead ends keep an op, and
 the rest is counted as part of the smallest size of the ops around it.
-The smallest sizes and the counting plan are both read off the event
-plan, so the two walks agree on which nodes draw by construction, and no
-pass recurses along references, so a grammar with a deep chain of
-definitions compiles and samples.  The pass tracks the committed size,
+The counting plan is read off the event plan, so the two walks agree on
+which nodes draw by construction.  The weights, the event plan and each
+op's smallest size come from one fold over each definition's content
+(ast.fold, with an explicit stack), and a definition's smallest size is
+its class's least power of x in the system, so no pass recurses along
+references or along a pattern's nesting: a grammar with a deep chain of
+definitions, or a content model of any width or depth, compiles and
+samples.  An attribute's value is drawn by running its content's event
+ops with a stack.  The pass tracks the committed size,
 the size drawn so far plus the smallest size of every op still pending,
 and aborts once that passes the upper bound (the early abort of ceiled
 rejection, Duchon, Flajolet, Louchard & Schaeffer 2004, tightened as in
@@ -57,9 +62,12 @@ import math
 import random
 import time
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from io import BytesIO
+from itertools import accumulate
 from xml.parsers import expat
 
 from . import ast
@@ -79,7 +87,7 @@ from .serialize import (
     _esc_attr,
     _esc_text,
 )
-from .system import compile_grammar
+from .system import compile_grammar, least_exponents
 
 __all__ = [
     "SizeWindow",
@@ -157,7 +165,11 @@ class StreamStats:
 
 # Op codes.  The event plan, run by the replay walk, has one op per node:
 # _ELEM, _ATTR, _CHOICE, _SEQ, _TEXT, _LIT, _END and _DEAD, with _LATE_ELEM,
-# _LATE_END and _LATE_ATTR in their place for late elements.  The counting
+# _LATE_END and _LATE_ATTR in their place for late elements.  A choice,
+# (_CHOICE, cps, branches, smallest sizes of the branches), and a
+# repetition, (_SEQ, log p, child, smallest size of child), carry what the
+# counting plan reads; a literal, (_LIT, escaped bytes, text), its text for
+# an attribute's value, whose plan is its content's event ops.  The counting
 # plan has only the ops that draw; each op's smallest size is counted when
 # it is pushed, and what a draw commits beyond it is added after the draw:
 #   (_CHOICE2, p0, excess0, branch0, excess1, branch1)  two live branches
@@ -180,15 +192,20 @@ def _rev(ops):
     return tuple(reversed(ops))
 
 
-def _choice_cdf(live):
-    """Cumulative branch probabilities of (weight, branch) pairs."""
-    total = sum(w for w, _ in live)
-    acc, cps = 0.0, []
-    for w, _ in live:
-        acc += w
-        cps.append(acc / total)
+def _ops(value):
+    """The event ops of a node's value from Sampler._node."""
+    _, ops, _, live = value
+    if live is None:
+        return ops
+    if not live:
+        return ((_DEAD,),)
+    if len(live) == 1:
+        return live[0][1]
+    total = sum(w for w, _, _, _ in live)
+    cps = [acc / total for acc in accumulate(w for w, _, _, _ in live)]
     cps[-1] = 1.0
-    return tuple(cps)
+    branches = tuple(_rev(ops) for _, ops, _, _ in live)
+    return ((_CHOICE, tuple(cps), branches, tuple(low for _, _, low, _ in live)),)
 
 
 class Sampler:
@@ -202,42 +219,7 @@ class Sampler:
         verify_oracle(oracle, self.system)
         self.x = oracle.x
         self.used_types = set()
-        self._weight_memo = {}
         self._build_plan()
-
-    # -- weights ----------------------------------------------------------
-
-    def weight(self, pattern):
-        """Generating function of a pattern at the oracle's x."""
-        key = id(pattern)
-        hit = self._weight_memo.get(key)
-        if hit is not None:
-            return hit
-        p = pattern
-        if isinstance(p, (ast.Empty, ast.Text, ast.Data, ast.Value)):
-            w = 1.0
-        elif isinstance(p, ast.NotAllowed):
-            w = 0.0
-        elif isinstance(p, ast.Ref):
-            w = self.oracle.values.get(p.name, 0.0)
-        elif isinstance(p, ast.Attribute):
-            w = self.x * self.weight(p.content)
-        elif isinstance(p, ast.Choice):
-            w = self.weight(p.left) + self.weight(p.right)
-        elif isinstance(p, ast.Group):
-            w = self.weight(p.left) * self.weight(p.right)
-        elif isinstance(p, ast.OneOrMore):
-            ratio = self.weight(p.child)
-            if ratio >= 1.0:
-                raise SamplingError(
-                    "repetition weight %.17g is not below 1 at x=%.17g; "
-                    "the oracle point is past the singularity" % (ratio, self.x)
-                )
-            w = ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
-        else:
-            raise SamplingError("unexpected pattern %s" % type(p).__name__)
-        self._weight_memo[key] = w
-        return w
 
     # -- plan construction ------------------------------------------------
 
@@ -249,11 +231,14 @@ class Sampler:
         define being its name; head is the encoded '<tag' with any xmlns,
         end the shared (_END, b'</tag>').  A late definition (see
         check_normal_form) has (_LATE_ELEM, ...) with the end (_LATE_END,
-        b'</tag>', head), and its attributes are _LATE_ATTR ops.  Compiling
-        the events decides everything about the draws: which branches of a
-        choice are live, when a choice of one live branch is no draw at
-        all, when an attribute of weight 0 or a repetition of a weightless
-        child is a dead end, and each choice's CDF.
+        b'</tag>', head), and its attributes are _LATE_ATTR ops.  The
+        definitions' smallest sizes come first, from the system, since a
+        reference reads its definition's; then each definition's content
+        folds through _node.  Compiling the events decides everything
+        about the draws: which branches of a choice are live, when a
+        choice of one live branch is no draw at all, when an attribute of
+        weight 0 or a repetition of a weightless child is a dead end, and
+        each choice's CDF.
 
         The counting plan is the event plan with the draw-free ops
         removed: a choice, a repetition or a dead end keeps its op, with
@@ -281,22 +266,25 @@ class Sampler:
             else:
                 op = (_ELEM, head, [], (_END, end))
             self._event_elem[name] = op + (name,)
+        # a definition's smallest size is its class's least power of x; a
+        # definition the system dropped has no document
+        least = least_exponents(self.system.classes, self.system.equations)
+        mins = self._mins = {name: least.get(name, math.inf) for name in g.defines}
         for name, body in g.defines.items():
-            self._event_elem[name][2].extend(
-                _rev(self._compile_events(body.content, name in self.late))
-            )
-        self._event_start = _rev(self._compile_events(g.start))
-        self._min_sizes()
+            visit = partial(self._node, name in self.late)
+            self._event_elem[name][2].extend(_rev(_ops(ast.fold(body.content, visit))))
+        start = ast.fold(g.start, partial(self._node, False))
+        self._event_start = _rev(_ops(start))
+        self.min_size = start[2]
         # definitions in increasing order of smallest size: an element
         # outside any choice or repetition is smaller than the definition
         # holding it, so its ops are built before they are read.  A
         # choice's branches and a repetition's child are filled in last,
         # so a recursive definition can refer to its own ops.
-        mins = self._mins
         self._count_defs = {}
         todo = []
         for name in sorted(mins, key=mins.get):
-            # a draw-free cycle never ends, so its size is infinite
+            # a definition with no document is a dead end
             self._count_defs[name] = (
                 self._count_ops(self._event_elem[name][2], todo)
                 if mins[name] < math.inf else ((_DEAD,),)
@@ -306,105 +294,62 @@ class Sampler:
             ops, events = todo.pop()
             ops.extend(self._count_ops(events, todo))
 
-    def _live_branches(self, p):
-        """(weight, branch) pairs of a choice's branches of positive weight."""
-        if isinstance(p, ast.Choice):
-            return self._live_branches(p.left) + self._live_branches(p.right)
-        w = self.weight(p)
-        return [(w, p)] if w > 0.0 else []
-
-    def _compile_events(self, p, late=False):
-        """Compile a pattern into event ops, execution order.  late is
-        whether p is the content of a late element."""
-        if isinstance(p, ast.Empty):
-            return ()
-        if isinstance(p, ast.NotAllowed):
-            return ((_DEAD,),)
-        if isinstance(p, ast.Text):
-            self.used_types.add("string")
-            return ((_TEXT, "string"),)
-        if isinstance(p, ast.Data):
-            self.used_types.add(p.type)
-            return ((_TEXT, p.type),)
-        if isinstance(p, ast.Value):
-            return ((_LIT, _esc_text(p.literal).encode()),)
-        if isinstance(p, ast.Attribute):
-            if self.weight(p) <= 0.0:
-                return ((_DEAD,),)
-            value = self._compile_value(p.content)
+    def _node(self, late, p, kids):
+        """Visit of the fold that compiles a pattern, late being whether it
+        is in a late element's content: returns (weight, event ops, smallest
+        size, live).  The weight is its generating function at the oracle's
+        x.  live is None but for a choice, where it lists the values of its
+        nested branches of positive weight, flattened, and the ops are left
+        to _ops, so a chain of choices makes one CDF.  A reference's
+        smallest size is its definition's, an attribute's 1 and a dead
+        end's infinite; text and values come from the value stream and
+        count 0."""
+        t = type(p)
+        if t is ast.Choice:
+            live = []
+            for kid in kids:
+                if kid[3] is not None:
+                    live += kid[3]
+                elif kid[0] > 0.0:
+                    live.append(kid)
+            low = min((kid[2] for kid in kids if kid[0] > 0.0), default=math.inf)
+            return kids[0][0] + kids[1][0], None, low, live
+        if t is ast.Group:
+            left, right = kids
+            return left[0] * right[0], _ops(left) + _ops(right), left[2] + right[2], None
+        if t is ast.Ref:
+            w = self.oracle.values.get(p.name, 0.0)
+            return w, (self._event_elem[p.name],), self._mins[p.name], None
+        if t is ast.Attribute:
+            w = self.x * kids[0][0]
+            if w <= 0.0:
+                return w, ((_DEAD,),), math.inf, None
+            value = _rev(_ops(kids[0]))
             if not late:
-                return ((_ATTR, p.name, value),)
-            return ((_LATE_ATTR, p.name, value, (' %s="' % p.name).encode()),)
-        if isinstance(p, ast.Ref):
-            return (self._event_elem[p.name],)
-        if isinstance(p, ast.Group):
-            return self._compile_events(p.left, late) + self._compile_events(
-                p.right, late
-            )
-        if isinstance(p, ast.OneOrMore):
-            ratio = self.weight(p.child)
+                return w, ((_ATTR, p.name, value),), 1, None
+            return w, ((_LATE_ATTR, p.name, value, (' %s="' % p.name).encode()),), 1, None
+        if t is ast.OneOrMore:
+            ratio, _, low, _ = kids[0]
+            if ratio >= 1.0:
+                raise SamplingError(
+                    "repetition weight %.17g is not below 1 at x=%.17g; "
+                    "the oracle point is past the singularity" % (ratio, self.x)
+                )
             if ratio <= 0.0:
-                return ((_DEAD,),)
-            child = _rev(self._compile_events(p.child, late))
-            return ((_SEQ, math.log(ratio), child),)
-        if isinstance(p, ast.Choice):
-            live = self._live_branches(p)
-            if not live:
-                return ((_DEAD,),)
-            if len(live) == 1:
-                return self._compile_events(live[0][1], late)
-            branches = tuple(
-                _rev(self._compile_events(b, late)) for _, b in live
-            )
-            return ((_CHOICE, _choice_cdf(live), branches),)
-        raise SamplingError("unexpected pattern %s" % type(p).__name__)
-
-    def _min_sizes(self):
-        """Smallest sizes: min_size for the start ops and _mins for each
-        definition.
-
-        A definition's smallest size is the least fixpoint of 1 + the
-        smallest size of its element's children.  Every definition starts
-        at infinity, and rounds over the definitions lower the sizes until
-        a round moves none; an element reads its definition's size as it
-        stands.  Each round settles at least the unsettled definition with
-        the smallest size, whose smallest document uses only smaller
-        ones.  The system lists the definitions in preorder from the
-        start; rounds take them last to first, so a chain of definitions
-        settles in one round however the grammar orders them."""
-        elems = self._event_elem
-        mins = self._mins = dict.fromkeys(elems, math.inf)
-        rank = {name: i for i, name in enumerate(self.system.classes)}
-        order = sorted(elems, key=lambda name: rank.get(name, -1), reverse=True)
-        moved = True
-        while moved:
-            moved = False
-            for name in order:
-                m = 1 + self._min_of(elems[name][2])
-                if m < mins[name]:
-                    mins[name] = m
-                    moved = True
-        self.min_size = self._min_of(self._event_start)
-
-    def _min_of(self, ops):
-        """Smallest size of a list of event ops: an element counts its
-        definition's, an attribute 1, a choice its smallest branch's and a
-        repetition its child's; infinite with a dead end.  Text and values
-        come from the value stream and count 0."""
-        m = 0
-        for op in ops:
-            k = op[0]
-            if k == _ELEM or k == _LATE_ELEM:
-                m += self._mins[op[4]]
-            elif k == _ATTR or k == _LATE_ATTR:
-                m += 1
-            elif k == _CHOICE:
-                m += min(map(self._min_of, op[2]))
-            elif k == _SEQ:
-                m += self._min_of(op[2])
-            elif k == _DEAD:
-                return math.inf
-        return m
+                return 0.0, ((_DEAD,),), math.inf, None
+            seq = (_SEQ, math.log(ratio), _rev(_ops(kids[0])), low)
+            return ratio / (1.0 - ratio), (seq,), low, None
+        if t is ast.Empty:
+            return 1.0, (), 0, None
+        if t is ast.NotAllowed:
+            return 0.0, ((_DEAD,),), math.inf, None
+        if t is ast.Value:
+            return 1.0, ((_LIT, _esc_text(p.literal).encode(), p.literal),), 0, None
+        if t is ast.Text or t is ast.Data:
+            dtype = "string" if t is ast.Text else p.type
+            self.used_types.add(dtype)
+            return 1.0, ((_TEXT, dtype),), 0, None
+        raise SamplingError("unexpected pattern %s" % t.__name__)
 
     def _count_ops(self, ops, todo):
         """The counting ops of a list of event ops, in the same stack
@@ -419,10 +364,9 @@ class Sampler:
             if k == _ELEM or k == _LATE_ELEM:
                 out += self._count_defs[op[4]]
             elif k == _CHOICE:
-                sizes = [self._min_of(b) for b in op[2]]
-                low = min(sizes)
-                excess = [m - low for m in sizes]
-                branches = [[] for _ in sizes]
+                low = min(op[3])
+                excess = [m - low for m in op[3]]
+                branches = [[] for _ in excess]
                 todo += zip(branches, op[2])
                 if len(branches) == 2:
                     out.append((
@@ -434,33 +378,10 @@ class Sampler:
             elif k == _SEQ:
                 child = []
                 todo.append((child, op[2]))
-                out.append((_SEQ, op[1], child, self._min_of(op[2])))
+                out.append((_SEQ, op[1], child, op[3]))
             elif k == _DEAD:
                 out.append(op)
         return out
-
-    def _compile_value(self, p):
-        if isinstance(p, ast.Text):
-            self.used_types.add("string")
-            return ("fn", "string")
-        if isinstance(p, ast.Data):
-            self.used_types.add(p.type)
-            return ("fn", p.type)
-        if isinstance(p, ast.Value):
-            return ("lit", p.literal)
-        if isinstance(p, ast.Empty):
-            return ("lit", "")
-        if isinstance(p, ast.Group):
-            return ("cat", self._compile_value(p.left), self._compile_value(p.right))
-        if isinstance(p, ast.Choice):
-            # the attribute has weight, so a choice here has a live branch
-            live = self._live_branches(p)
-            if len(live) == 1:
-                return self._compile_value(live[0][1])
-            return ("alt", _choice_cdf(live), tuple(self._compile_value(b) for _, b in live))
-        raise SamplingError(
-            "unsupported pattern inside attribute: %s" % type(p).__name__
-        )
 
     def registry_for(self, overrides=None):
         registry = merge_registries(overrides)
@@ -584,21 +505,23 @@ class Sampler:
         raise ExhaustedError(max_attempts, histogram)
 
     def _sample_value(self, plan, rng, registry):
-        tag = plan[0]
-        if tag == "lit":
-            return plan[1]
-        if tag == "fn":
-            return registry[plan[1]](rng)
-        if tag == "cat":
-            return self._sample_value(plan[1], rng, registry) + self._sample_value(
-                plan[2], rng, registry
-            )
-        u = rng.random()  # "alt"
-        cps = plan[1]
-        i = 0
-        while u >= cps[i]:
-            i += 1
-        return self._sample_value(plan[2][i], rng, registry)
+        """An attribute's value: plan is its content's event ops in stack
+        order, run with a stack, so the draws come in the order of a
+        recursive walk over the content."""
+        parts = []
+        stack = list(plan)
+        while stack:
+            op = stack.pop()
+            k = op[0]
+            if k == _TEXT:
+                parts.append(registry[op[1]](rng))
+            elif k == _LIT:
+                parts.append(op[2])
+            elif k == _CHOICE:  # the first branch whose CDF passes u
+                stack += op[2][bisect_right(op[1], rng.random())]
+            else:
+                raise SamplingError("unsupported pattern inside attribute")
+        return "".join(parts)
 
     def _walk_write(self, rng_s, rng_v, registry, sink):
         """Replay an attempt that _count_walk finished, from its first

@@ -15,6 +15,8 @@ x, and oneOrMore over p introduces a fresh class s = poly(p) + poly(p) * s.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import math
 from dataclasses import dataclass
 
 from . import ast
@@ -24,6 +26,7 @@ __all__ = [
     "Monomial",
     "GfSystem",
     "compile_grammar",
+    "least_exponents",
     "load_system",
     "save_system",
 ]
@@ -159,8 +162,9 @@ class _Compiler:
                 stack.extend(reversed(refs_of(self.grammar.defines[name])))
         return order
 
-    def poly(self, pattern):
-        p = pattern
+    def poly(self, p, kids):
+        """Visit of the fold from a pattern to its polynomial, kids being
+        its children's polynomials."""
         if isinstance(p, (ast.Empty, ast.Text, ast.Data, ast.Value)):
             return {_ONE: 1}
         if isinstance(p, ast.NotAllowed):
@@ -168,17 +172,17 @@ class _Compiler:
         if isinstance(p, ast.Ref):
             return {(0, ((p.name, 1),)): 1}
         if isinstance(p, ast.Attribute):
-            return _p_shift(self.poly(p.content))
+            return _p_shift(kids[0])
         if isinstance(p, ast.Choice):
-            return _p_add(self.poly(p.left), self.poly(p.right))
+            return _p_add(*kids)
         if isinstance(p, ast.Group):
-            return _p_mul(self.poly(p.left), self.poly(p.right))
+            return _p_mul(*kids)
         if isinstance(p, ast.OneOrMore):
-            return self.seq_class(p)
+            return self.seq_class(p, kids[0])
         raise CompileError("unexpected pattern node %s" % type(p).__name__)
 
-    def seq_class(self, node):
-        pp = self.poly(node.child)
+    def seq_class(self, node, pp):
+        """The class of a oneOrMore node whose child has the polynomial pp."""
         # constant term: class variables all have zero constant term, so
         # only the bare (x^0, no classes) monomial contributes
         if pp.get(_ONE, 0):
@@ -216,55 +220,70 @@ class _Compiler:
 
         self.classes.extend(define_order)
         if start_name not in define_order:
-            self.equations[start_name] = self.poly(g.start)
+            self.equations[start_name] = ast.fold(g.start, self.poly)
         for name in define_order:
             body = g.defines[name]
-            self.equations[name] = _p_shift(self.poly(body.content))
+            self.equations[name] = _p_shift(ast.fold(body.content, self.poly))
 
-        classes, equations = self.prune_empty(start_name)
-        eq_tuples = {
+        # drop the classes whose generating function is identically zero
+        equations = {
             name: tuple(
                 Monomial(coeff, xexp, powers)
-                for (xexp, powers), coeff in sorted(equations[name].items())
+                for (xexp, powers), coeff in sorted(self.equations[name].items())
+            )
+            for name in self.classes
+        }
+        least = least_exponents(self.classes, equations)
+        if least[start_name] == math.inf:
+            raise CompileError("the start pattern matches no documents")
+        classes = [name for name in self.classes if least[name] < math.inf]
+        equations = {
+            name: tuple(
+                mon for mon in equations[name]
+                if all(least[cls] < math.inf for cls, _ in mon.powers)
             )
             for name in classes
         }
-        system = GfSystem(classes, eq_tuples, start_name, grammar_digest=grammar_digest)
+        system = GfSystem(classes, equations, start_name, grammar_digest=grammar_digest)
         check_well_founded(system)
         return system
-
-    def prune_empty(self, start_name):
-        """Drop classes whose generating function is identically zero.
-        Rounds run last to first, which settles a chain of definitions,
-        listed in preorder from the start, in one round."""
-        nonempty = set()
-        changed = True
-        while changed:
-            changed = False
-            for name in reversed(self.classes):
-                if name in nonempty:
-                    continue
-                for (xexp, powers), coeff in self.equations[name].items():
-                    if all(cls in nonempty for cls, _ in powers):
-                        nonempty.add(name)
-                        changed = True
-                        break
-        if start_name not in nonempty:
-            raise CompileError("the start pattern matches no documents")
-        classes = [c for c in self.classes if c in nonempty]
-        equations = {}
-        for name in classes:
-            equations[name] = {
-                key: coeff
-                for key, coeff in self.equations[name].items()
-                if all(cls in nonempty for cls, _ in key[1])
-            }
-        return classes, equations
 
 
 def compile_grammar(grammar, grammar_digest=None):
     """Compile a normalized grammar into its generating-function system."""
     return _Compiler(grammar).run(grammar_digest=grammar_digest)
+
+
+def least_exponents(classes, equations):
+    """The least power of x in each class's series, inf for a class whose
+    series is zero, equations[name] being its monomials.
+
+    Knuth's generalization of Dijkstra's algorithm (1977): a monomial's
+    least power is known once its classes' are, and is never below
+    theirs, so the least one known settles its class, and each monomial
+    is read once however the classes are ordered."""
+    least = {}
+    users = {name: [] for name in classes}  # class -> (monomial, exponent)
+    heap = []
+    for name in classes:
+        for mon in equations[name]:
+            # [least power so far, classes not settled yet, class]
+            entry = [mon.xexp, len(mon.powers), name]
+            for cls, exp in mon.powers:
+                users[cls].append((entry, exp))
+            if not mon.powers:
+                heapq.heappush(heap, (mon.xexp, name))
+    while heap:
+        size, name = heapq.heappop(heap)
+        if name in least:
+            continue
+        least[name] = size
+        for entry, exp in users[name]:
+            entry[0] += exp * size
+            entry[1] -= 1
+            if not entry[1]:
+                heapq.heappush(heap, (entry[0], entry[2]))
+    return {name: least.get(name, math.inf) for name in classes}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ gives their order no meaning (XML 1.0 section 3.1).  Leaf lexical content
 (text bodies, attribute values) is deliberately ignored, matching what
 the counting semantics distinguish.
 
-Children are matched before their parents, with an explicit stack, so the
-recursion follows only the grammar's nesting, never the document's.  Each
+Children are matched before their parents, with an explicit stack, and
+each definition's content is folded once per call into a flat program
+(_program) that runs over a set of states with a work stack, so nothing
+recurses along the document's depth or the grammar's nesting.  Each
 document node gets the set of definitions' element patterns it matches,
 built from its children's sets; a reference in content is then a
 membership test on the child's set.  The grammar must be in normal form
@@ -50,56 +52,68 @@ def _view(node):
     raise TypeError("cannot validate %r" % type(node).__name__)
 
 
-def _element_ok(p, view, defines, matched):
-    """Whether a document node, seen as view, matches the element pattern
-    p; matched holds, by id, the definitions' elements each of its
-    element children matches."""
-    uri, local, attrs, children = view
-    if local not in (p.name, p.name.split(":")[-1]):
-        return False
-    if p.ns is not None and uri is not None and uri != p.ns:
-        return False
+def _program(pattern, defines):
+    """A pattern as a flat program.  At index pc, ("attr", names) uses an
+    unused attribute named one of names and ("ref", element) consumes a
+    child that matches the element of that id, each going on at pc + 1;
+    ("fork", k) goes on at pc + 1 and at pc + k, ("jump", k) at pc + k.
+    A node's ops jump only within its own: a group's are its sides' in
+    turn, a choice forks past its left side to its right, a oneOrMore
+    forks back to its child's start, and notAllowed is an attribute of no
+    name."""
 
-    def states(q, current):
-        """The (mask of attributes used, children consumed) states
-        reachable by matching q from any state in current."""
-        if not current:
-            return current
+    def visit(q, kids):
         t = type(q)
         if t is ast.Group:
-            return states(q.right, states(q.left, current))
+            return kids[0] + kids[1]
         if t is ast.Choice:
-            return states(q.left, current) | states(q.right, current)
+            left, right = kids
+            return [("fork", len(left) + 2), *left, ("jump", len(right) + 1), *right]
         if t is ast.OneOrMore:
-            reached = frontier = states(q.child, current)
-            while frontier:
-                frontier = states(q.child, frontier) - reached
-                reached = reached | frontier
-            return reached
+            return [*kids[0], ("fork", -len(kids[0]))]
         if t is ast.Attribute:
-            # any attribute of that name not used yet
-            names = (q.name, q.name.split(":")[-1])
-            out = set()
-            for i, name in enumerate(attrs):
-                if name in names:
-                    bit = 1 << i
-                    out.update((used | bit, c) for used, c in current if not used & bit)
-            return out
+            return [("attr", (q.name, q.name.split(":")[-1]))]
         if t is ast.Ref:
-            return {
-                (used, c + 1)
-                for used, c in current
-                if c < len(children)
-                and id(defines[q.name]) in matched[id(children[c])]
-            }
+            return [("ref", id(defines[q.name]))]
         if t is ast.NotAllowed:
-            return set()
+            return [("attr", ())]
         if t in (ast.Empty, ast.Text, ast.Data, ast.Value):
-            return current
+            return []
         raise TypeError("unexpected pattern %s" % t.__name__)
 
-    final = ((1 << len(attrs)) - 1, len(children))
-    return final in states(p.content, {(0, 0)})
+    return ast.fold(pattern, visit)
+
+
+def _accepts(program, attrs, children, matched):
+    """Whether the program, run to its end, can use every attribute name
+    in attrs and consume every element child; matched holds, by id, the
+    definitions' elements each child matches.  The program runs over the
+    states (pc, mask of attributes used, children consumed) with a work
+    stack, each state once."""
+    final = (len(program), (1 << len(attrs)) - 1, len(children))
+    seen = set()
+    stack = [(0, 0, 0)]
+    while stack:
+        state = stack.pop()
+        if state == final:
+            return True
+        if state in seen or state[0] == final[0]:
+            continue
+        seen.add(state)
+        pc, used, c = state
+        op, arg = program[pc]
+        if op == "fork":
+            stack += ((pc + 1, used, c), (pc + arg, used, c))
+        elif op == "jump":
+            stack.append((pc + arg, used, c))
+        elif op == "ref":
+            if c < len(children) and arg in matched[id(children[c])]:
+                stack.append((pc + 1, used, c + 1))
+        else:
+            for i, name in enumerate(attrs):
+                if name in arg and not used >> i & 1:
+                    stack.append((pc + 1, used | 1 << i, c))
+    return False
 
 
 def matches(grammar, doc):
@@ -113,6 +127,7 @@ def matches(grammar, doc):
         for name in {body.name, body.name.split(":")[-1]}:
             by_name.setdefault(name, []).append(body)
     matched = {}  # id of a document node -> ids of the element patterns it matches
+    programs = {}  # id of a definition's element -> its content's program
 
     # children first; a node is pushed back with its view above its children
     stack = [(doc, None)]
@@ -124,18 +139,15 @@ def matches(grammar, doc):
             view = _view(node)
             stack.append((node, view))
             stack.extend((c, None) for c in view[3])
-        else:
-            candidates = by_name.get(view[1], ())
-            matched[id(node)] = {
-                id(p) for p in candidates if _element_ok(p, view, defines, matched)
-            }
-
-    root = matched[id(doc)]
-    todo = [grammar.start]
-    while todo:
-        p = todo.pop()
-        if type(p) is ast.Choice:
-            todo += (p.left, p.right)
-        elif type(p) is ast.Ref and id(defines[p.name]) in root:
-            return True
-    return False
+            continue
+        uri, _, attrs, children = view
+        ok = matched[id(node)] = set()
+        for p in by_name.get(view[1], ()):
+            if p.ns is not None and uri is not None and uri != p.ns:
+                continue
+            if id(p) not in programs:
+                programs[id(p)] = _program(p.content, defines)
+            if _accepts(programs[id(p)], attrs, children, matched):
+                ok.add(id(p))
+    # the root is the one child of the start pattern
+    return _accepts(_program(grammar.start, defines), (), [doc], matched)

@@ -197,6 +197,20 @@ def test_solver_divergence_exit_code(tmp_path, grammar_paths, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_coefficient_past_float_range_is_a_solver_error(tmp_path, capsys):
+    # a system file may hold any integer coefficient; one that no float
+    # holds is refused by name, with the solver's exit code
+    system = tmp_path / "big.gfs"
+    system.write_text(
+        "boltzxml-system 1\ngrammar-digest none\nclasses 1\nstart a\n"
+        "eq a = 1 1 + 1%s 2 a:2\n" % ("0" * 400)
+    )
+    code = main(["solve", str(system), "--x", "0.1"])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "error: a coefficient of class 'a' is past the float range\n"
+
+
 @pytest.mark.parametrize("x", ["nan", "inf", "-0.1"])
 def test_solve_refuses_x_outside_zero_to_infinity(workdir, tmp_path, capsys, x):
     # refused before any Newton run, so no singularity search and no

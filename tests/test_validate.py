@@ -194,7 +194,7 @@ def test_inline_element_patterns():
         '        attribute "x"\n'
         "          text\n"
     )
-    with pytest.raises(GrammarError):
+    with pytest.raises(GrammarError, match="element 'c' is nested in a pattern"):
         check_normal_form(grammar)
     child = DocNode("c", (("x", "1"),))
     with pytest.raises(TypeError, match="unexpected pattern Element"):
