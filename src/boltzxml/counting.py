@@ -1,10 +1,12 @@
 """Exact coefficient extraction and exhaustive document enumeration.
 
-count_coefficients runs a truncated power-series fixpoint on the equation
-system using arbitrary-precision integers, size by size.  Every class series
-and every product of classes is a plain list; products are built as chains
-of pairwise convolutions shared across monomials by common prefix, so the
-total cost is O(products * cutoff^2) big-int operations.
+count_coefficients reads the equation system's series size by size, in
+arbitrary-precision integers.  Every class series and every product of
+classes is a plain list; products are built as chains of pairwise
+convolutions shared across monomials by common prefix, so the total cost is
+O(products * cutoff^2) big-int operations.  system.same_size_order puts the
+lists in the order of their reads at one size, which check_well_founded has
+proved acyclic, so one pass settles each size.
 
 enumerate_documents lists every derivation of a given size, producing
 documents with canonical leaf values; the list length equals the counting
@@ -18,9 +20,9 @@ from operator import mul
 
 from . import ast
 from .datatypes import canonical_value
-from .errors import EnumerationBoundError, IllFoundedSystemError
+from .errors import EnumerationBoundError
 from .serialize import DocNode
-from .system import compile_grammar
+from .system import check_well_founded, compile_grammar, same_size_order
 
 __all__ = ["CountingTable", "count_coefficients", "enumerate_documents"]
 
@@ -43,61 +45,50 @@ class CountingTable:
 
 
 def count_coefficients(system, cutoff):
-    """Exact counts of objects of size 0..cutoff for every class."""
+    """Exact counts of objects of size 0..cutoff for every class of a
+    system that check_well_founded accepts."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    series = {name: [] for name in system.classes}
-    unit = [1] + [0] * cutoff  # the series of a monomial with no class
-    # (series, left factor's series, right class's series); a prefix comes
-    # before the products that extend it, so a pass computes it first
-    products = []
-    by_factors = {}
-
-    def product(factors):
-        # each prefix of the factors in turn, shortest first
-        hit = series[factors[0]] if factors else unit
-        for k in range(2, len(factors) + 1):
-            left, hit = hit, by_factors.get(factors[:k])
-            if hit is None:
-                hit = by_factors[factors[:k]] = []
-                products.append((hit, left, series[factors[k - 1]]))
-        return hit
-
-    plans = []  # (class series, [(coeff, xexp, series of the product)])
+    const = check_well_founded(system)
+    # a node is a tuple of factors: (name,) for a class, a longer one for
+    # a monomial's prefix product; reads[node] are the nodes whose size-n
+    # terms its own size-n term is made from; plans[(name,)] are the
+    # class's monomials as (coeff, xexp, factors)
+    reads, plans = {}, {}
     for name in system.classes:
-        plan = []
-        for mon in system.equations[name]:
-            factors = tuple(cls for cls, exp in mon.powers for _ in range(exp))
-            plan.append((mon.coeff, mon.xexp, product(factors)))
-        plans.append((series[name], plan))
-    lists = list(series.values()) + [prod for prod, _, _ in products]
-    max_passes = len(system.classes) + len(products) + 2
+        plan = plans[(name,)] = [
+            (mon.coeff, mon.xexp, tuple(c for c, exp in mon.powers for _ in range(exp)))
+            for mon in system.equations[name]
+        ]
+        reads[(name,)] = [factors for _, xexp, factors in plan if factors and not xexp]
+        for _, _, factors in plan:
+            for k in range(2, len(factors) + 1):
+                # left * right pairs each side's size n with the other's 0
+                left, right = factors[:k - 1], factors[k - 1:k]
+                reads[factors[:k]] = [
+                    side for side, other in ((left, right), (right, left))
+                    if all(map(const.get, other))
+                ]
+    series = {node: [] for node in reads}
+    lists = list(series.values())
+    series[()] = [1] + [0] * cutoff  # a monomial with no class
+    steps = [  # (series, class plan, left and right factors' series)
+        (series[node], [(c, x, series[f]) for c, x, f in plans[node]], None, None)
+        if node in plans
+        else (series[node], None, series[node[:-1]], series[node[-1:]])
+        for node in same_size_order(reads)
+    ]
     for n in range(cutoff + 1):
         for s in lists:
             s.append(0)
-        for _ in range(max_passes):
-            changed = False
-            for prod, left, right in products:
+        for s, plan, left, right in steps:
+            if plan is None:
                 # every list holds sizes 0..n, so this pairs j with n - j
-                total = sum(map(mul, left, reversed(right)))
-                if total != prod[n]:
-                    prod[n] = total
-                    changed = True
-            for s, plan in plans:
-                total = 0
-                for coeff, xexp, src in plan:
-                    if xexp <= n:
-                        total += coeff * src[n - xexp]
-                if total != s[n]:
-                    s[n] = total
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise IllFoundedSystemError(
-                "coefficient recursion does not settle at size %d" % n
-            )
-    return CountingTable(series, cutoff, system.start)
+                s[n] = sum(map(mul, left, reversed(right)))
+            else:
+                s[n] = sum(c * src[n - x] for c, x, src in plan if x <= n)
+    counts = {name: series[(name,)] for name in system.classes}
+    return CountingTable(counts, cutoff, system.start)
 
 
 # ---------------------------------------------------------------------------

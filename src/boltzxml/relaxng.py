@@ -97,15 +97,34 @@ class _Builder:
             result = cls(p, result, loc=self.loc(node))
         return result
 
-    def build_list(self, nodes, ns):
-        return [self.build(c, ns) for c in nodes]
-
-    def group_of(self, node, children, ns):
-        return self.fold(node, self.build_list(children, ns), ast.Group)
+    def group_of(self, node, children, ns, cls=ast.Group):
+        """Steps that build the children's patterns and fold them by cls."""
+        patterns = []
+        for c in children:
+            patterns.append((yield c, ns))
+        return self.fold(node, patterns, cls)
 
     # -- pattern dispatch -------------------------------------------------
 
+    def run(self, steps):
+        """The value of steps, a generator that yields (node, ns) for each
+        pattern it needs and is sent that pattern back.  Nested steps wait
+        on an explicit stack, so no nesting in the schema file reaches the
+        recursion limit, and run as a recursive descent would."""
+        stack, value = [steps], None
+        while stack:
+            try:
+                node, ns = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(self.build(node, ns))
+                value = None
+        return value
+
     def build(self, node, ns):
+        """The steps that build node's pattern, for run."""
         if node.uri != RNG_NS:
             self.err("element %r is not in the RELAX NG namespace" % node.local, node)
         if "ns" in node.attrs:
@@ -117,7 +136,7 @@ class _Builder:
             name, rest = self.named_pattern(node, "element", ns)
             if not rest:
                 self.err("element %r has no content pattern" % name, node)
-            content = self.group_of(node, rest, ns)
+            content = yield from self.group_of(node, rest, ns)
             return ast.Element(name, content, ns=ns, loc=loc)
 
         if local == "attribute":
@@ -125,30 +144,26 @@ class _Builder:
             own_ns = node.attrs.get("ns") or None
             name, rest = self.named_pattern(node, "attribute", ns)
             if rest:
-                content = self.group_of(node, rest, ns)
+                content = yield from self.group_of(node, rest, ns)
             else:
                 content = ast.Text(loc=loc)  # default attribute content
             return ast.Attribute(name, content, ns=own_ns, loc=loc)
 
         if local == "choice":
-            return self.fold(node, self.build_list(self.rng_children(node), ns), ast.Choice)
-        if local in ("group", "div"):
-            return self.group_of(node, self.rng_children(node), ns)
-        if local == "interleave":
-            # approximated by an ordered group; document order is kept
-            return self.group_of(node, self.rng_children(node), ns)
-        if local == "optional":
-            inner = self.group_of(node, self.rng_children(node), ns)
-            return ast.Choice(ast.Empty(loc=loc), inner, loc=loc)
-        if local == "zeroOrMore":
-            inner = self.group_of(node, self.rng_children(node), ns)
-            return ast.Choice(ast.Empty(loc=loc), ast.OneOrMore(inner, loc=loc), loc=loc)
-        if local == "oneOrMore":
-            inner = self.group_of(node, self.rng_children(node), ns)
-            return ast.OneOrMore(inner, loc=loc)
-        if local == "mixed":
-            inner = self.group_of(node, self.rng_children(node), ns)
-            return ast.Group(ast.Text(loc=loc), inner, loc=loc)
+            return (yield from self.group_of(node, self.rng_children(node), ns, ast.Choice))
+        if local in ("group", "div", "interleave", "optional", "zeroOrMore",
+                     "oneOrMore", "mixed"):
+            # interleave is approximated by an ordered group; document order is kept
+            inner = yield from self.group_of(node, self.rng_children(node), ns)
+            if local == "optional":
+                return ast.Choice(ast.Empty(loc=loc), inner, loc=loc)
+            if local == "zeroOrMore":
+                return ast.Choice(ast.Empty(loc=loc), ast.OneOrMore(inner, loc=loc), loc=loc)
+            if local == "oneOrMore":
+                return ast.OneOrMore(inner, loc=loc)
+            if local == "mixed":
+                return ast.Group(ast.Text(loc=loc), inner, loc=loc)
+            return inner
         if local == "ref":
             name = node.attrs.get("name", "").strip()
             if not name:
@@ -202,13 +217,13 @@ class _Builder:
     def grammar_body(self, node, ns, starts, defines):
         for child in self.rng_children(node):
             if child.local == "start":
-                inner = self.group_of(child, self.rng_children(child), ns)
+                inner = self.run(self.group_of(child, self.rng_children(child), ns))
                 starts.append((child.attrs.get("combine"), inner, child))
             elif child.local == "define":
                 name = child.attrs.get("name", "").strip()
                 if not name:
                     self.err("define has no name attribute", child)
-                inner = self.group_of(child, self.rng_children(child), ns)
+                inner = self.run(self.group_of(child, self.rng_children(child), ns))
                 defines.setdefault(name, []).append(
                     (child.attrs.get("combine"), inner, child)
                 )
@@ -243,7 +258,7 @@ def parse_grammar(data, source="<grammar>"):
             for name, entries in defines_raw.items()
         }
     else:
-        start = b.build(root, ns)
+        start = b.run(b.build(root, ns))
         defines = {}
     return _normalize(start, defines, source)
 

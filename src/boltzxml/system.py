@@ -292,72 +292,65 @@ def least_exponents(classes, equations):
 _CONST_CAP = 1 << 63
 
 
-def check_well_founded(system):
-    """Verify the system defines finitely many objects of every size.
-
-    Two-step test: the constant vector (all generating functions at x = 0)
-    must reach a fixpoint, and the class dependency graph through
-    zero-size monomials, weighted by that fixpoint, must be acyclic."""
-    classes = system.classes
-    const = {c: 0 for c in classes}
-    for _ in range(len(classes) + 2):
-        nxt = {}
-        for name in classes:
-            total = 0
-            for mon in system.equations[name]:
-                if mon.xexp:
-                    continue
-                term = mon.coeff
-                for cls, exp in mon.powers:
-                    term *= const[cls] ** exp
-                total += term
-                if total > _CONST_CAP:
-                    raise IllFoundedSystemError(
-                        "constant terms grow without bound (class %r)" % name
-                    )
-            nxt[name] = total
-        if nxt == const:
-            break
-        const = nxt
-    else:
-        raise IllFoundedSystemError("constant terms never reach a fixpoint")
-
-    edges = {c: set() for c in classes}
-    for name in classes:
-        for mon in system.equations[name]:
-            if mon.xexp:
-                continue
-            for cls, exp in mon.powers:
-                rest = mon.coeff * (exp if const[cls] else 1)
-                if exp > 1 and const[cls] == 0:
-                    continue
-                for other, oexp in mon.powers:
-                    if other != cls:
-                        rest *= const[other] ** oexp
-                if rest > 0:
-                    edges[name].add(cls)
-
-    # depth first from each class in turn, with a stack of edge iterators
-    # (todo[0] runs over the classes) so no chain passes the recursion limit
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in classes}
-    trail, todo = [], [iter(classes)]
+def same_size_order(reads):
+    """The nodes of reads in an order that puts each after reads[node],
+    the nodes whose size-n terms its own size-n term reads.  It is the
+    postorder of depth first searches from each node in turn, with a
+    stack of edge iterators (todo[0] runs over the nodes) so no chain
+    passes the recursion limit.  A cycle is recursion at no size and
+    raises IllFoundedSystemError."""
+    order, trail, todo = {}, {}, [iter(reads)]  # trail: outermost first
     while todo:
         for nxt in todo[-1]:
-            if color[nxt] == GRAY:
-                cycle = trail[trail.index(nxt):] + [nxt]
+            if nxt in trail:
+                cycle = [*trail, nxt]
                 raise IllFoundedSystemError(
-                    "zero-size recursion cycle: %s" % " -> ".join(cycle)
+                    "zero-size recursion cycle: %s"
+                    % " -> ".join(map(str, cycle[cycle.index(nxt):]))
                 )
-            if color[nxt] == WHITE:
-                color[nxt] = GRAY
-                trail.append(nxt)
-                todo.append(iter(sorted(edges[nxt])))
+            if nxt not in order:
+                trail[nxt] = None
+                todo.append(iter(reads[nxt]))
                 break
         else:
             todo.pop()
             if trail:
-                color[trail.pop()] = BLACK
+                order[trail.popitem()[0]] = None
+    return list(order)
+
+
+def check_well_founded(system):
+    """Verify the system defines finitely many objects of every size, and
+    return each class's constant term, its value at x = 0.
+
+    Class a reads class b at size 0 when a monomial of a with no x has a
+    nonzero derivative in b at 0: every power in it but one of b has a
+    nonzero constant term, one whose least power of x is 0.  These reads
+    are acyclic in a well-founded system (Pivoteau, Salvy & Soria, JCTA
+    2012), and one pass in their order settles the constants."""
+    classes = system.classes
+    at_zero = {  # the monomials with no x, the only ones read at size 0
+        name: [mon for mon in system.equations[name] if not mon.xexp]
+        for name in classes
+    }
+    least = least_exponents(classes, at_zero)
+    zero = {name for name in classes if least[name]}  # zero constant term
+    reads = {name: set() for name in classes}
+    for name in classes:
+        for mon in at_zero[name]:
+            zeros = sum(exp for cls, exp in mon.powers if cls in zero)
+            reads[name].update(cls for cls, _ in mon.powers if zeros == (cls in zero))
+    const = dict.fromkeys(classes, 0)
+    for name in same_size_order({name: sorted(r) for name, r in reads.items()}):
+        # a monomial's factors are settled by now, or one has a zero constant
+        const[name] = sum(
+            mon.coeff * math.prod(const[cls] ** exp for cls, exp in mon.powers)
+            for mon in at_zero[name]
+        )
+        if const[name] > _CONST_CAP:
+            raise IllFoundedSystemError(
+                "constant terms grow without bound (class %r)" % name
+            )
     return const
 
 

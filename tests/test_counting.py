@@ -2,6 +2,7 @@
 enumeration of small size classes."""
 
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from boltzxml import (
     skeleton_key,
     events_from_doc,
 )
+from boltzxml.system import check_well_founded
 
 SCHEMAS = sorted((Path(__file__).parent / "data").glob("schema-*.rng"))
 
@@ -155,5 +157,124 @@ def test_recursion_that_never_settles():
     system = GfSystem(
         ["a"], {"a": (Monomial(1, 0, ()), Monomial(1, 0, (("a", 1),)))}, "a"
     )
-    with pytest.raises(IllFoundedSystemError, match="size 0"):
+    with pytest.raises(IllFoundedSystemError, match="zero-size recursion cycle: a -> a"):
         count_coefficients(system, 3)
+
+
+# ---------------------------------------------------------------------------
+# count_coefficients against a naive reference
+
+
+def kleene_counts(system, cutoff):
+    """Counts to size cutoff by iterating Y <- Phi(Y) from zero on series
+    truncated there until nothing changes, which a well-founded system
+    reaches within (cutoff + 1) * (classes + 1) rounds."""
+
+    def times(a, b):
+        return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(cutoff + 1)]
+
+    series = {name: [0] * (cutoff + 1) for name in system.classes}
+    for _ in range((cutoff + 1) * (len(system.classes) + 1) + 1):
+        nxt = {}
+        for name in system.classes:
+            total = [0] * (cutoff + 1)
+            for mon in system.equations[name]:
+                term = [0] * (cutoff + 1)
+                if mon.xexp <= cutoff:
+                    term[mon.xexp] = mon.coeff
+                for cls, exp in mon.powers:
+                    for _ in range(exp):
+                        term = times(term, series[cls])
+                total = [a + b for a, b in zip(total, term)]
+            nxt[name] = total
+        if nxt == series:
+            return series
+        series = nxt
+    raise AssertionError("the reference iteration does not settle")
+
+
+def system_of(text):
+    """A GfSystem from lines 'name = coeff xexp [class:exp ...] + ...',
+    the first line's class being the start."""
+    classes, equations = [], {}
+    for line in text.strip().splitlines():
+        name, _, body = line.partition("=")
+        name = name.strip()
+        classes.append(name)
+        monomials = []
+        for token in body.split("+"):
+            coeff, xexp, *factors = token.split()
+            powers = tuple(sorted(
+                (cls, int(exp)) for cls, exp in (f.split(":") for f in factors)
+            ))
+            monomials.append(Monomial(int(coeff), int(xexp), powers))
+        equations[name] = tuple(monomials)
+    return GfSystem(classes, equations, classes[0])
+
+
+HAND_WRITTEN = {
+    # D's constant is 0, so A's term of size n reads no B at size n, but
+    # the product B*C, which A's B*C*D and E share, reads B at size n
+    "shared-product": """
+        A = 1 1 + 1 0 B:1 C:1 D:1
+        B = 1 0 + 1 1 A:1
+        C = 2 0 + 1 1 E:1
+        D = 1 1 + 1 1 D:2
+        E = 1 0 B:1 C:1 + 1 2
+    """,
+    "geometric": "a = 1 0 + 1 1 a:1",
+    "chain-of-constants": """
+        s = 1 0 a:1 + 1 1 s:2
+        a = 1 1 + 1 0 b:1
+        b = 3 0 + 1 2 s:1 a:1
+    """,
+    "square-of-a-constant": """
+        p = 1 0 q:2 + 1 1 p:1
+        q = 2 0 + 1 1 p:1 q:1
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_counts_equal_the_reference_on_hand_written_systems(name):
+    system = system_of(HAND_WRITTEN[name])
+    assert count_coefficients(system, 10).counts == kleene_counts(system, 10)
+
+
+def random_system(rng):
+    """A system of one to five classes, each a sum of one to four
+    monomials of x^0..x^2 times up to three class factors."""
+    names = ["c%d" % i for i in range(rng.randint(1, 5))]
+    equations = {}
+    for name in names:
+        merged = {}
+        for _ in range(rng.randint(1, 4)):
+            powers = {}
+            for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+                cls = rng.choice(names)
+                powers[cls] = powers.get(cls, 0) + rng.choice((1, 1, 2))
+            key = (rng.choice((0, 0, 1, 2)), tuple(sorted(powers.items())))
+            merged[key] = merged.get(key, 0) + rng.randint(1, 2)
+        equations[name] = tuple(
+            Monomial(coeff, xexp, powers)
+            for (xexp, powers), coeff in sorted(merged.items())
+        )
+    return GfSystem(names, equations, names[0])
+
+
+def test_counts_equal_the_reference_on_random_systems():
+    rng = random.Random(28)
+    compared = 0
+    for _ in range(400):
+        system = random_system(rng)
+        try:
+            check_well_founded(system)
+        except IllFoundedSystemError as refused:
+            # counting's order meets the same cycles at size 0
+            if "cycle" in str(refused):
+                with pytest.raises(IllFoundedSystemError, match="cycle"):
+                    count_coefficients(system, 8)
+            continue
+        compared += 1
+        assert count_coefficients(system, 8).counts == kleene_counts(system, 8)
+    assert compared > 150

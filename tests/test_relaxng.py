@@ -339,6 +339,42 @@ def test_a_long_chain_of_non_element_definitions_parses():
     assert list(grammar.defines) == ["d3000"]
 
 
+def nested_optional_attributes(n, innermost=""):
+    return '<element name="r">%s%s%s</element>' % (
+        "".join('<optional><attribute name="a%d"/>' % i for i in range(n)),
+        innermost,
+        "</optional>" * n,
+    )
+
+
+def test_deeply_nested_patterns_parse():
+    # built with an explicit stack: the recursive builder raised
+    # RecursionError from about 300 levels
+    grammar = g("<start>%s</start>" % nested_optional_attributes(3000))
+    (body,) = grammar.defines.values()
+    depth, node = 0, body.content
+    while isinstance(node, Choice):
+        depth += 1
+        node = node.right.right if isinstance(node.right, Group) else node.right
+    assert depth == 3000
+
+
+def test_the_first_error_in_document_order_is_reported():
+    # a node is checked before its children, and siblings left to right
+    e = err('<start><element name="a"><choice/><bogus/></element></start>')
+    assert "choice needs at least one pattern" in str(e)
+    e = err(
+        "<start><element name='a'>\n<optional><data/></optional>\n"
+        "<ref/></element></start>"
+    )
+    assert "data pattern has no type attribute" in str(e) and e.line == 2
+    deep = nested_optional_attributes(2000, "\n<bogus/><ref/>")
+    e = err("<start>%s</start>" % deep)
+    assert "unknown RELAX NG element 'bogus'" in str(e) and e.line == 2
+    e = err("<start><attribute name='1x'><bogus/></attribute></start>")
+    assert "invalid attribute name '1x'" in str(e)
+
+
 def test_a_long_cycle_of_non_element_definitions_is_located():
     text = "<grammar %s>%s</grammar>" % (RNG, _chain(2999, '<ref name="d0"/>'))
     with pytest.raises(GrammarError) as info:

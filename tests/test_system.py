@@ -271,6 +271,14 @@ def test_load_takes_a_long_chain_of_zero_size_edges(tmp_path):
     assert str(info.value) == (
         "zero-size recursion cycle: c1496 -> c1497 -> c1498 -> c1499 -> c1496"
     )
+    # ending in a constant, every class reads the next at size 0, so each
+    # constant waits on the one after it; one pass in their order settles
+    # them: c(i) = (n - 1 - i) x + 1
+    system = load_text(tmp_path, zero_size_chain(3000, "1 0"))
+    assert check_well_founded(system)["c0"] == 1
+    from boltzxml import count_coefficients
+
+    assert count_coefficients(system, 2).series() == [1, 2999, 0]
 
 
 def test_load_rejects_unbounded_constants(tmp_path):
