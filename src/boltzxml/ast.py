@@ -31,6 +31,7 @@ __all__ = [
     "NotAllowed",
     "Grammar",
     "iter_nodes",
+    "reachable",
     "fold",
     "check_normal_form",
     "to_canonical",
@@ -144,6 +145,24 @@ def iter_nodes(pattern):
         yield node
         if type(node) in _KIDS:
             stack += _KIDS[type(node)](node)
+
+
+def reachable(start, defines):
+    """Names of the definitions reachable from the start pattern, depth
+    first in preorder.  A reference is skipped when it comes off the stack
+    already seen, which keeps a recursive walk's order."""
+
+    def refs_of(pattern):
+        return [n.name for n in iter_nodes(pattern) if isinstance(n, Ref)]
+
+    order = {}
+    stack = refs_of(start)[::-1]
+    while stack:
+        name = stack.pop()
+        if name not in order:
+            order[name] = None
+            stack += reversed(refs_of(defines[name]))
+    return list(order)
 
 
 def fold(pattern, visit):

@@ -95,9 +95,9 @@ def count_coefficients(system, cutoff):
 # exhaustive enumeration
 
 
-def _enum_value(pattern):
-    """All canonical string values an attribute content pattern can take."""
-    p = pattern
+def _enum_value(p, kids):
+    """Visit of the fold from an attribute content pattern to all the
+    canonical string values it can take, kids being its children's."""
     if isinstance(p, ast.Text):
         return (canonical_value("string"),)
     if isinstance(p, ast.Data):
@@ -109,11 +109,9 @@ def _enum_value(pattern):
     if isinstance(p, ast.NotAllowed):
         return ()
     if isinstance(p, ast.Choice):
-        return _enum_value(p.left) + _enum_value(p.right)
+        return kids[0] + kids[1]
     if isinstance(p, ast.Group):
-        return tuple(
-            a + b for a in _enum_value(p.left) for b in _enum_value(p.right)
-        )
+        return tuple(a + b for a in kids[0] for b in kids[1])
     raise ValueError("unsupported pattern inside attribute: %s" % type(p).__name__)
 
 
@@ -160,7 +158,7 @@ def enumerate_documents(grammar, size, *, bound=10000, system=None, table=None):
         if isinstance(p, ast.Attribute):
             if budget != 1:
                 return ()
-            return tuple((("a", p.name, v),) for v in _enum_value(p.content))
+            return tuple((("a", p.name, v),) for v in ast.fold(p.content, _enum_value))
         if isinstance(p, ast.Ref):
             return enum(grammar.defines[p.name], budget)
         if isinstance(p, ast.Element):

@@ -2,10 +2,13 @@
 
 A datatype sampler is a callable taking a random.Random and returning a
 lexically valid string for its type.  The defaults cover the common XSD
-types; any of them can be overridden, and new names added, by passing a
-registry mapping to the sampler or the --datatype-plugin CLI flag, whose
-file is JSON of the form {"typename": ["value", ...]} (values drawn
-uniformly).  Every sampler is deterministic given the generator state.
+types, one row of _TYPES each, which also holds the type's fixed value
+for exhaustive enumeration; an integer type's values lie in its XSD
+value space.  A data pattern's params are not enforced.  Any default can
+be overridden, and new names added, by passing a registry mapping to the
+sampler or the --datatype-plugin CLI flag, whose file is JSON of the form
+{"typename": ["value", ...]} (values drawn uniformly).  Every sampler is
+deterministic given the generator state.
 """
 
 from __future__ import annotations
@@ -36,16 +39,14 @@ def _token(rng):
     return rng.choice(_WORDS)
 
 
-def _integer(rng):
-    return str(rng.randrange(-10**6, 10**6 + 1))
+def _integers(low, high):
+    """A sampler of the integers low..high, each as likely."""
+    stop = high + 1
 
+    def sample(rng):
+        return str(rng.randrange(low, stop))
 
-def _non_negative_integer(rng):
-    return str(rng.randrange(0, 10**6 + 1))
-
-
-def _positive_integer(rng):
-    return str(rng.randrange(1, 10**6 + 1))
+    return sample
 
 
 def _decimal(rng):
@@ -54,10 +55,6 @@ def _decimal(rng):
 
 def _double(rng):
     return "%.6e" % (rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-3, 7))
-
-
-def _boolean(rng):
-    return rng.choice(("true", "false"))
 
 
 def _date(rng):
@@ -78,69 +75,46 @@ def _date_time(rng):
     return _date(rng) + "T" + _time(rng) + "Z"
 
 
-def _g_year(rng):
-    return "%04d" % rng.randrange(1970, 2100)
-
-
 def _any_uri(rng):
     return "https://example.invalid/%s/%d" % (rng.choice(_WORDS), rng.randrange(1000))
 
 
-def _language(rng):
-    return rng.choice(("en", "de", "fr", "ja", "en-US"))
+# each built-in type: its sampler, and the fixed value exhaustive
+# enumeration uses.  An integer type draws from a range inside its XSD
+# value space (XML Schema Part 2, section 3.3).
+_TYPES = {
+    "string": (_string, "text"),
+    "normalizedString": (_token, "text"),
+    "token": (_token, "token"),
+    "integer": (_integers(-10**6, 10**6), "0"),
+    "int": (_integers(-10**6, 10**6), "0"),
+    "long": (_integers(-10**6, 10**6), "0"),
+    "short": (_integers(-32768, 32767), "0"),
+    "nonNegativeInteger": (_integers(0, 10**6), "0"),
+    "positiveInteger": (_integers(1, 10**6), "1"),
+    "decimal": (_decimal, "0.0"),
+    "double": (_double, "0.0e0"),
+    "float": (_double, "0.0e0"),
+    "boolean": (lambda rng: rng.choice(("true", "false")), "true"),
+    "date": (_date, "2000-01-01"),
+    "time": (_time, "00:00:00"),
+    "dateTime": (_date_time, "2000-01-01T00:00:00Z"),
+    "gYear": (lambda rng: "%04d" % rng.randrange(1970, 2100), "2000"),
+    "anyURI": (_any_uri, "https://example.invalid/"),
+    "language": (lambda rng: rng.choice(("en", "de", "fr", "ja", "en-US")), "en"),
+}
 
 
 def default_datatype_samplers():
     """A fresh registry of the built-in datatype samplers."""
-    return {
-        "string": _string,
-        "normalizedString": _token,
-        "token": _token,
-        "integer": _integer,
-        "int": _integer,
-        "long": _integer,
-        "short": _integer,
-        "nonNegativeInteger": _non_negative_integer,
-        "positiveInteger": _positive_integer,
-        "decimal": _decimal,
-        "double": _double,
-        "float": _double,
-        "boolean": _boolean,
-        "date": _date,
-        "time": _time,
-        "dateTime": _date_time,
-        "gYear": _g_year,
-        "anyURI": _any_uri,
-        "language": _language,
-    }
-
-
-_CANONICAL = {
-    "string": "text",
-    "normalizedString": "text",
-    "token": "token",
-    "integer": "0",
-    "int": "0",
-    "long": "0",
-    "short": "0",
-    "nonNegativeInteger": "0",
-    "positiveInteger": "1",
-    "decimal": "0.0",
-    "double": "0.0e0",
-    "float": "0.0e0",
-    "boolean": "true",
-    "date": "2000-01-01",
-    "time": "00:00:00",
-    "dateTime": "2000-01-01T00:00:00Z",
-    "gYear": "2000",
-    "anyURI": "https://example.invalid/",
-    "language": "en",
-}
+    return {name: sampler for name, (sampler, _) in _TYPES.items()}
 
 
 def canonical_value(type_name):
-    """Fixed representative value, used by exhaustive enumeration."""
-    return _CANONICAL.get(type_name, type_name)
+    """Fixed representative value, used by exhaustive enumeration; an
+    unknown type's is its own name."""
+    row = _TYPES.get(type_name)
+    return type_name if row is None else row[1]
 
 
 @functools.cache

@@ -503,8 +503,22 @@ def save_oracle(oracle, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _point_value(raw, lineno):
+    """x or a class value from an oracle file: a finite number at least 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise SystemFormatError(
+            "line %d: bad value %r, not a finite number at least 0" % (lineno, raw)
+        )
+    return value
+
+
 def load_oracle(path, system=None):
-    """Read an oracle file; verify its digest against a system if given."""
+    """Read an oracle file; verify its digest against a system if given.
+    x and every class value must be finite numbers at least 0."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != _ORACLE_HEADER:
@@ -523,16 +537,13 @@ def load_oracle(path, system=None):
                 raise SystemFormatError(
                     "line %d: duplicate class %r" % (lineno, parts[1])
                 )
-            try:
-                values[parts[1]] = float(parts[2])
-            except ValueError:
-                raise SystemFormatError(
-                    "line %d: bad value %r" % (lineno, parts[2])
-                ) from None
+            values[parts[1]] = _point_value(parts[2], lineno)
         elif parts[0] in ("system", "x", "rho-lo", "rho-hi", "iterations", "residual"):
             if len(parts) != 2:
                 raise SystemFormatError("line %d: bad %s line" % (lineno, parts[0]))
             fields[parts[0]] = parts[1]
+            if parts[0] == "x":
+                x = _point_value(parts[1], lineno)
         else:
             raise SystemFormatError("line %d: unrecognized line %r" % (lineno, line))
     missing = {"system", "x", "iterations", "residual"} - set(fields)
@@ -547,7 +558,7 @@ def load_oracle(path, system=None):
 
     try:
         oracle = OracleTable(
-            x=float(fields["x"]),
+            x=x,
             values=values,
             rho_lower=opt_float("rho-lo"),
             rho_upper=opt_float("rho-hi"),

@@ -215,8 +215,15 @@ class _Builder:
         return self.fold(node, [e[1] for e in entries], cls)
 
     def grammar_body(self, node, ns, starts, defines):
-        for child in self.rng_children(node):
-            if child.local == "start":
+        """Collect the start and define elements of a grammar, in document
+        order, walking nested divs with an explicit stack."""
+        todo = [(iter(self.rng_children(node)), ns)]
+        while todo:
+            children, ns = todo[-1]
+            child = next(children, None)
+            if child is None:
+                todo.pop()
+            elif child.local == "start":
                 inner = self.run(self.group_of(child, self.rng_children(child), ns))
                 starts.append((child.attrs.get("combine"), inner, child))
             elif child.local == "define":
@@ -228,7 +235,7 @@ class _Builder:
                     (child.attrs.get("combine"), inner, child)
                 )
             elif child.local == "div":
-                self.grammar_body(child, child.attrs.get("ns", ns), starts, defines)
+                todo.append((iter(self.rng_children(child)), child.attrs.get("ns", ns)))
             elif child.local == "include":
                 self.err("unsupported RELAX NG feature: include", child)
             else:
@@ -390,12 +397,5 @@ def _inline(start, defines, source):
 
 
 def _prune(start, defines):
-    reachable = set()
-    stack = [start]
-    while stack:
-        pat = stack.pop()
-        for node in ast.iter_nodes(pat):
-            if isinstance(node, ast.Ref) and node.name not in reachable:
-                reachable.add(node.name)
-                stack.append(defines[node.name])
-    return {n: defines[n] for n in defines if n in reachable}
+    keep = set(ast.reachable(start, defines))
+    return {n: defines[n] for n in defines if n in keep}

@@ -166,14 +166,19 @@ def events_to_bytes(events, *, xml_declaration=False):
 
 
 def events_from_doc(doc):
-    """Depth-first event stream of a DocNode tree."""
-    yield StartElement(doc.name, tuple(doc.attrs))
-    for child in doc.children:
-        if isinstance(child, str):
-            yield TextContent(child)
+    """Depth-first event stream of a DocNode tree, walked with an explicit
+    stack, so no depth reaches the recursion limit."""
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            yield TextContent(node)
+        elif isinstance(node, EndElement):
+            yield node
         else:
-            yield from events_from_doc(child)
-    yield EndElement(doc.name)
+            yield StartElement(node.name, tuple(node.attrs))
+            stack.append(EndElement(node.name))
+            stack += reversed(node.children)
 
 
 def doc_to_xml(doc):

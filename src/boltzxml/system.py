@@ -141,27 +141,6 @@ class _Compiler:
         self.seq_cache = {}
         self.seq_serial = 0
 
-    def class_order(self):
-        """Definitions reachable from the start pattern, depth first in
-        preorder.  A reference is skipped when it comes off the stack
-        already seen, which keeps a recursive walk's order."""
-        order = []
-        seen = set()
-
-        def refs_of(pattern):
-            return [
-                n.name for n in ast.iter_nodes(pattern) if isinstance(n, ast.Ref)
-            ]
-
-        stack = refs_of(self.grammar.start)[::-1]
-        while stack:
-            name = stack.pop()
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-                stack.extend(reversed(refs_of(self.grammar.defines[name])))
-        return order
-
     def poly(self, p, kids):
         """Visit of the fold from a pattern to its polynomial, kids being
         its children's polynomials."""
@@ -205,7 +184,7 @@ class _Compiler:
 
     def run(self, grammar_digest=None):
         g = self.grammar
-        define_order = self.class_order()
+        define_order = ast.reachable(g.start, g.defines)
 
         start_name = None
         if isinstance(g.start, ast.Ref):
@@ -342,11 +321,16 @@ def check_well_founded(system):
             reads[name].update(cls for cls, _ in mon.powers if zeros == (cls in zero))
     const = dict.fromkeys(classes, 0)
     for name in same_size_order({name: sorted(r) for name, r in reads.items()}):
-        # a monomial's factors are settled by now, or one has a zero constant
-        const[name] = sum(
-            mon.coeff * math.prod(const[cls] ** exp for cls, exp in mon.powers)
-            for mon in at_zero[name]
-        )
+        # a monomial's factors are settled by now, or one has a zero
+        # constant; a factor of 2 or more to a power of 64 or more passes
+        # the cap, so that power is never raised
+        for mon in at_zero[name]:
+            factors = [(const[cls], exp) for cls, exp in mon.powers]
+            if all(c for c, _ in factors):
+                if any(c > 1 and exp >= 64 for c, exp in factors):
+                    const[name] = _CONST_CAP + 1
+                    break
+                const[name] += mon.coeff * math.prod(c**exp for c, exp in factors)
         if const[name] > _CONST_CAP:
             raise IllFoundedSystemError(
                 "constant terms grow without bound (class %r)" % name

@@ -223,6 +223,35 @@ def test_solve_refuses_x_outside_zero_to_infinity(workdir, tmp_path, capsys, x):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field,value", [("class t", "nan"), ("class t", "-5"), ("x", "nan")]
+)
+def test_corrupt_oracle_value_is_an_input_error(
+    workdir, tmp_path, capsys, field, value
+):
+    # refused where it is read, before any draw and before --out exists
+    text = (workdir / "ternary.oracle").read_text()
+    lines = [
+        "%s %s" % (field, value) if line.rpartition(" ")[0] == field else line
+        for line in text.splitlines()
+    ]
+    assert lines != text.splitlines()
+    oracle = tmp_path / "corrupt.oracle"
+    oracle.write_text("\n".join(lines) + "\n")
+    docs = tmp_path / "docs"
+    code = main([
+        "sample", str(workdir / "ternary.rng"), str(oracle),
+        "-n", "10", "--out", str(docs),
+    ])
+    assert code == EXIT_INPUT
+    lineno = 1 + next(i for i, line in enumerate(lines) if line.startswith(field + " "))
+    assert capsys.readouterr().err == (
+        "error: line %d: bad value %r, not a finite number at least 0\n"
+        % (lineno, value)
+    )
+    assert not docs.exists()
+
+
 def test_digest_mismatch(workdir, tmp_path, grammar_paths, capsys):
     other = tmp_path / "binary.rng"
     other.write_bytes(grammar_paths["binary"].read_bytes())

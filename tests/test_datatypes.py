@@ -133,3 +133,64 @@ def test_merge_registries_overrides_and_extends():
     assert "date" in merged
     # defaults object is untouched
     assert default_datatype_samplers()["integer"](random.Random(5)) != "7"
+
+
+# each integer type's sampler range, inside its XSD value space (XML Schema
+# Part 2, section 3.3); xsd:short is -32768..32767
+INTEGER_RANGES = {
+    "integer": (-10**6, 10**6),
+    "int": (-10**6, 10**6),
+    "long": (-10**6, 10**6),
+    "short": (-32768, 32767),
+    "nonNegativeInteger": (0, 10**6),
+    "positiveInteger": (1, 10**6),
+}
+
+# sha256 prefixes of the values _draws gives, recorded before the types
+# moved into one table; every type but short keeps its values
+VALUE_DIGESTS = {
+    "string": "7a7cf92ab0245c02",
+    "normalizedString": "138f06c713809374",
+    "token": "138f06c713809374",
+    "integer": "e6df2e44a0287ef2",
+    "int": "e6df2e44a0287ef2",
+    "long": "e6df2e44a0287ef2",
+    "nonNegativeInteger": "22b59c69609cc7f6",
+    "positiveInteger": "dff57b97c56697eb",
+    "decimal": "a1fbf238e1316d28",
+    "double": "015ac9a88b043219",
+    "float": "015ac9a88b043219",
+    "boolean": "f2a659d2eeb94dd6",
+    "date": "3969e8dfaa1706df",
+    "time": "800570c3f94c50d1",
+    "dateTime": "9ac76f586929a889",
+    "gYear": "a537ee6f4d0fc5a6",
+    "anyURI": "5fe1da72ffe8375f",
+    "language": "5339c2b1c5f158ae",
+}
+
+
+def _draws(sampler):
+    """Two values from each of the generators seeded 0..999."""
+    values = []
+    for seed in range(1000):
+        rng = random.Random(seed)
+        values += [sampler(rng), sampler(rng)]
+    return values
+
+
+def test_integer_values_lie_in_their_range():
+    registry = default_datatype_samplers()
+    for name, (low, high) in INTEGER_RANGES.items():
+        values = [int(v) for v in _draws(registry[name])]
+        assert low <= min(values) and max(values) <= high, name
+
+
+def test_values_are_the_recorded_ones():
+    import hashlib
+
+    registry = default_datatype_samplers()
+    assert set(registry) == set(VALUE_DIGESTS) | {"short"}
+    for name, digest in VALUE_DIGESTS.items():
+        text = "\n".join(_draws(registry[name])).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest, name

@@ -15,11 +15,17 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from boltzxml import (
+    DocNode,
+    EndElement,
     Sampler,
     SamplerConfig,
     SizeWindow,
+    StartElement,
+    TextContent,
     compile_grammar,
     count_coefficients,
+    enumerate_documents,
+    events_from_doc,
     matches,
     parse_grammar,
     solve,
@@ -27,6 +33,13 @@ from boltzxml import (
 from boltzxml.ast import from_canonical, to_canonical
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
+
+
+def refuse_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("setrecursionlimit called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
 
 
 def grammar_text(start, defines=""):
@@ -86,11 +99,7 @@ SHAPES = {
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_wide_and_deep_content_models(name, monkeypatch):
     text, x, n, epsilon = SHAPES[name]
-
-    def refuse(limit):
-        raise AssertionError("setrecursionlimit called")
-
-    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    refuse_recursion_limit(monkeypatch)
     grammar = parse_grammar(text)
     system = compile_grammar(grammar)
     sampler = Sampler(grammar, solve(system, x), system=system)
@@ -104,3 +113,40 @@ def test_wide_and_deep_content_models(name, monkeypatch):
     assert first == (sampler.min_size if sampler.min_size <= 5 else None)
     canonical = to_canonical(grammar)
     assert to_canonical(from_canonical(canonical)) == canonical
+
+
+@pytest.mark.parametrize("combine", ["choice", "group"])
+def test_a_long_value_chain_inside_an_attribute_enumerates(combine, monkeypatch):
+    refuse_recursion_limit(monkeypatch)
+    docs = enumerate_documents(parse_grammar(attribute_of(1500, combine)), 2)
+    if combine == "choice":
+        expected = ["v%d" % i for i in range(1500)]
+    else:
+        expected = ["".join("v%d" % i for i in range(1500))]
+    assert [doc.attrs[0][1] for doc in docs] == expected
+
+
+def test_deeply_nested_divs_parse(monkeypatch):
+    refuse_recursion_limit(monkeypatch)
+    define = '<define name="a"><element name="a"><empty/></element></define>'
+    text = grammar_text(
+        '<ref name="a"/>', '<div ns="urn:x">' * 3000 + define + "</div>" * 3000
+    )
+    grammar = parse_grammar(text)
+    assert list(grammar.defines) == ["a"]
+    assert grammar.defines["a"].ns == "urn:x"
+
+
+def test_a_deep_document_streams_its_events(monkeypatch):
+    refuse_recursion_limit(monkeypatch)
+    doc = DocNode("leaf", (("k", "v"),), ("text",))
+    for depth in range(4999):
+        doc = DocNode("n%d" % depth, (), (doc,))
+    events = list(events_from_doc(doc))
+    names = ["n%d" % depth for depth in reversed(range(4999))] + ["leaf"]
+    assert events == [
+        *(StartElement(name, ()) for name in names[:-1]),
+        StartElement("leaf", (("k", "v"),)),
+        TextContent("text"),
+        *(EndElement(name) for name in reversed(names)),
+    ]

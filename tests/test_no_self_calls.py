@@ -22,12 +22,8 @@ _COUNTING_REFERENCE = (
 )
 
 ALLOWED = {
-    "_Builder.grammar_body": "recurses once per div nested in the schema file",
-    "_enum_value": _COUNTING_REFERENCE,
     "enum": _COUNTING_REFERENCE,
     "compute": _COUNTING_REFERENCE,
-    "events_from_doc": "recurses once per level of a DocNode, which "
-    "enumerate_documents builds only for small sizes",
 }
 
 

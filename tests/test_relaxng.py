@@ -18,6 +18,7 @@ from boltzxml.ast import (
     Value,
     check_normal_form,
     from_canonical,
+    reachable,
     to_canonical,
 )
 
@@ -154,6 +155,19 @@ def test_unreachable_defines_are_pruned():
         '<define name="b"><element name="b"><empty/></element></define>'
     )
     assert set(grammar.defines) == {"a"}
+
+
+def test_reachable_definitions_come_depth_first_in_preorder():
+    defines = {
+        "a": Element("a", Group(Ref("c"), Ref("b"))),
+        "b": Element("b", OneOrMore(Ref("d"))),
+        "c": Element("c", Choice(Ref("b"), Empty())),
+        "d": Element("d", Ref("a")),
+        "e": Element("e", Ref("a")),
+    }
+    assert reachable(Choice(Ref("a"), Ref("d")), defines) == ["a", "c", "b", "d"]
+    assert reachable(Ref("e"), defines) == ["e", "a", "c", "b", "d"]
+    assert reachable(NotAllowed(), defines) == []
 
 
 def test_element_ns_inherited_from_grammar():

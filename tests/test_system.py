@@ -1,5 +1,7 @@
 """Grammar-to-polynomial-system translation and the system file format."""
 
+import time
+
 import pytest
 
 from boltzxml import (
@@ -287,6 +289,27 @@ def test_load_rejects_unbounded_constants(tmp_path):
             tmp_path,
             "boltzxml-system 1\nclasses 1\nstart a\neq a = 2 0 + 1 0 a:2\n",
         )
+
+
+def test_huge_exponent_is_refused_before_it_is_raised(tmp_path):
+    # 2 to the 10^9 would be a 125 MB integer; a factor of 2 or more to a
+    # power of 64 or more passes the 2^63 cap, so no power is raised
+    two_to = "boltzxml-system 1\nclasses 2\nstart b\neq b = 1 1 + 1 0 a:%d\neq a = 2 0\n"
+    started = time.perf_counter()
+    with pytest.raises(IllFoundedSystemError) as info:
+        load_text(tmp_path, two_to % 10**9)
+    assert time.perf_counter() - started < 0.5
+    assert str(info.value) == "constant terms grow without bound (class 'b')"
+    with pytest.raises(IllFoundedSystemError, match="without bound"):
+        load_text(tmp_path, two_to % 64)
+    assert check_well_founded(load_text(tmp_path, two_to % 63))["b"] == 2**63
+    # a factor with a zero constant keeps the monomial at 0
+    system = load_text(
+        tmp_path,
+        "boltzxml-system 1\nclasses 3\nstart b\n"
+        "eq b = 1 1 + 1 0 a:1000000000 c:1\neq a = 2 0\neq c = 1 1\n",
+    )
+    assert check_well_founded(system) == {"b": 0, "a": 2, "c": 0}
 
 
 def test_colon_in_class_names_round_trips(systems, tmp_path):
