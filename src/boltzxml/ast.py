@@ -4,7 +4,8 @@ After parsing, a grammar is a start pattern plus named definitions whose
 bodies are all element patterns.  Choices and groups are binary, repetition
 is oneOrMore only, and every recursive cycle passes through an element.
 The canonical textual dump is line oriented, one node per line, and
-round-trips exactly (see to_canonical / from_canonical).
+round-trips exactly (see to_canonical / from_canonical).  Pattern trees
+are walked by iter_nodes and fold, the graph of definitions by depth_first.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "NotAllowed",
     "Grammar",
     "iter_nodes",
+    "depth_first",
     "reachable",
     "fold",
     "check_normal_form",
@@ -147,22 +149,38 @@ def iter_nodes(pattern):
             stack += _KIDS[type(node)](node)
 
 
+def depth_first(roots, edges):
+    """Search a graph depth first from each root in turn, edges(node)
+    giving a node's successors, with a stack of edge iterators so no path
+    reaches the recursion limit (Tarjan, SIAM J. Comput. 1972).  Return
+    the nodes in the order the search enters them and leaves them, as a
+    recursive search would, and the first edge back into the search's
+    trail as a path ending in the repeated node, or None."""
+    pre, post, trail, cycle = {}, [], {}, None  # trail: outermost first
+    todo = [iter(roots)]
+    while todo:
+        for node in todo[-1]:
+            if node not in pre:
+                pre[node] = trail[node] = None
+                todo.append(iter(edges(node)))
+                break
+            if node in trail and cycle is None:
+                cycle = [*trail, node][list(trail).index(node):]
+        else:
+            todo.pop()
+            if trail:
+                post.append(trail.popitem()[0])
+    return list(pre), post, cycle
+
+
 def reachable(start, defines):
-    """Names of the definitions reachable from the start pattern, depth
-    first in preorder.  A reference is skipped when it comes off the stack
-    already seen, which keeps a recursive walk's order."""
+    """Names of the definitions reachable from the start pattern, in the
+    preorder of depth_first."""
 
     def refs_of(pattern):
-        return [n.name for n in iter_nodes(pattern) if isinstance(n, Ref)]
+        return (n.name for n in iter_nodes(pattern) if isinstance(n, Ref))
 
-    order = {}
-    stack = refs_of(start)[::-1]
-    while stack:
-        name = stack.pop()
-        if name not in order:
-            order[name] = None
-            stack += reversed(refs_of(defines[name]))
-    return list(order)
+    return depth_first(refs_of(start), lambda name: refs_of(defines[name]))[0]
 
 
 def fold(pattern, visit):
@@ -215,8 +233,7 @@ def check_normal_form(grammar):
     """
 
     def fail(message, node):
-        line, column = node.loc if node.loc else (None, None)
-        raise GrammarError(message, source=grammar.source, line=line, column=column)
+        raise GrammarError.at(message, grammar.source, node)
 
     stack = [grammar.start]
     while stack:

@@ -3,8 +3,9 @@
 count_coefficients reads the equation system's series size by size, in
 arbitrary-precision integers.  Every class series and every product of
 classes is a plain list; products are built as chains of pairwise
-convolutions shared across monomials by common prefix, so the total cost is
-O(products * cutoff^2) big-int operations.  system.same_size_order puts the
+convolutions shared across monomials by common prefix, a power a^e as
+a^(e // 2) * a^(e - e // 2), so the total cost is O(products * log(exponent)
+* cutoff^2) big-int operations.  system.same_size_order puts the
 lists in the order of their reads at one size, which check_well_founded has
 proved acyclic, so one pass settles each size.
 
@@ -50,32 +51,41 @@ def count_coefficients(system, cutoff):
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     const = check_well_founded(system)
-    # a node is a tuple of factors: (name,) for a class, a longer one for
-    # a monomial's prefix product; reads[node] are the nodes whose size-n
-    # terms its own size-n term is made from; plans[(name,)] are the
-    # class's monomials as (coeff, xexp, factors)
-    reads, plans = {}, {}
+    # a node is a monomial's powers: ((name, 1),) for a class, a longer
+    # tuple for a prefix product, ((name, e),) for a power, made of halves;
+    # reads[node] are the nodes whose size-n terms its own size-n term is
+    # made from; plans[node] are a class's monomials as (coeff, xexp,
+    # powers) and splits[node] a product's left and right factors
+    reads, plans, splits = {}, {}, {}
     for name in system.classes:
-        plan = plans[(name,)] = [
-            (mon.coeff, mon.xexp, tuple(c for c, exp in mon.powers for _ in range(exp)))
-            for mon in system.equations[name]
+        plan = plans[((name, 1),)] = [
+            (mon.coeff, mon.xexp, mon.powers) for mon in system.equations[name]
         ]
-        reads[(name,)] = [factors for _, xexp, factors in plan if factors and not xexp]
-        for _, _, factors in plan:
-            for k in range(2, len(factors) + 1):
-                # left * right pairs each side's size n with the other's 0
-                left, right = factors[:k - 1], factors[k - 1:k]
-                reads[factors[:k]] = [
-                    side for side, other in ((left, right), (right, left))
-                    if all(map(const.get, other))
-                ]
+        reads[((name, 1),)] = [powers for _, xexp, powers in plan if powers and not xexp]
+    todo = [powers for plan in plans.values() for _, _, powers in plan]
+    while todo:
+        node = todo.pop()
+        if node in reads or not node:
+            continue
+        if len(node) > 1:
+            left, right = node[:-1], node[-1:]
+        else:  # a^e = a^(e // 2) * a^(e - e // 2)
+            (name, exp), = node
+            left, right = ((name, exp // 2),), ((name, exp - exp // 2),)
+        splits[node] = left, right
+        # left * right pairs each side's size n with the other's 0
+        reads[node] = [
+            side for side, other in ((left, right), (right, left))
+            if all(const[c] for c, _ in other)
+        ]
+        todo += left, right
     series = {node: [] for node in reads}
     lists = list(series.values())
     series[()] = [1] + [0] * cutoff  # a monomial with no class
     steps = [  # (series, class plan, left and right factors' series)
         (series[node], [(c, x, series[f]) for c, x, f in plans[node]], None, None)
         if node in plans
-        else (series[node], None, series[node[:-1]], series[node[-1:]])
+        else (series[node], None, *(series[f] for f in splits[node]))
         for node in same_size_order(reads)
     ]
     for n in range(cutoff + 1):
@@ -87,7 +97,7 @@ def count_coefficients(system, cutoff):
                 s[n] = sum(map(mul, left, reversed(right)))
             else:
                 s[n] = sum(c * src[n - x] for c, x, src in plan if x <= n)
-    counts = {name: series[(name,)] for name in system.classes}
+    counts = {name: series[((name, 1),)] for name in system.classes}
     return CountingTable(counts, cutoff, system.start)
 
 

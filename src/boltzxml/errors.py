@@ -18,6 +18,11 @@ class GrammarError(BoltzXmlError):
         self.column = column
         super().__init__(str(self))
 
+    @classmethod
+    def at(cls, message, source, node):
+        """The error located at a pattern node's loc, (line, column) or None."""
+        return cls(message, source, *(node.loc or (None, None)))
+
     def __str__(self):
         prefix = []
         if self.source:
@@ -31,20 +36,9 @@ class GrammarError(BoltzXmlError):
         return self.message
 
 
-class CompileError(BoltzXmlError):
+class CompileError(GrammarError):
     """A well-formed grammar has no sensible counting semantics, for example
     a repetition over a pattern that can match emptiness."""
-
-    def __init__(self, message, line=None, column=None):
-        self.message = message
-        self.line = line
-        self.column = column
-        super().__init__(str(self))
-
-    def __str__(self):
-        if self.line is not None:
-            return "line %s: %s" % (self.line, self.message)
-        return self.message
 
 
 class SystemFormatError(BoltzXmlError):

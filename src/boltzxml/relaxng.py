@@ -12,11 +12,13 @@ interleave is approximated by group, n-ary choice and group fold to binary,
 and repeated definitions merge by their combine method, choice or
 interleave); every inline element pattern is hoisted to a fresh named
 definition, and an undefined reference is reported on the way; every
-definition whose body is not an element is inlined at its use sites, and a
-definition cycle that never crosses an element is reported there; unused
-definitions are dropped.  Last, ast.check_normal_form checks the result once,
-so recursion is guaranteed to pass through an element and the start,
-reference and attribute rules hold.
+definition whose body is not an element is inlined at its use sites, in
+the postorder of ast.depth_first, and a definition cycle that never
+crosses an element is reported as its first cycle; definitions that
+ast.reachable does not reach from the start are dropped.  Last,
+ast.check_normal_form checks the result once, so recursion is guaranteed
+to pass through an element and the start, reference and attribute rules
+hold.
 """
 
 from __future__ import annotations
@@ -288,11 +290,6 @@ def _normalize(start, defines, source):
     return grammar
 
 
-def _located(source, node):
-    line, col = node.loc if node.loc else (None, None)
-    return dict(source=source, line=line, column=col)
-
-
 def _hoist(start, defines, source):
     """Give every inline element pattern a fresh named definition.
 
@@ -314,9 +311,7 @@ def _hoist(start, defines, source):
 
     def tx(p, kids):
         if isinstance(p, ast.Ref) and p.name not in defines:
-            raise GrammarError(
-                "reference to undefined pattern %r" % p.name, **_located(source, p)
-            )
+            raise GrammarError.at("reference to undefined pattern %r" % p.name, source, p)
         p = _rebuild(p, kids)
         if not isinstance(p, ast.Element):
             return p
@@ -351,8 +346,8 @@ def _inline(start, defines, source):
 
     A cycle among such definitions means recursion that never crosses an
     element, which would admit infinitely many documents of one size.
-    They are resolved depth first with a stack of reference iterators, so
-    a long chain of definitions does not recurse."""
+    They are resolved in the postorder of ast.depth_first, so each after
+    the definitions it uses, and a long chain of them does not recurse."""
     element_defs = {n: b for n, b in defines.items() if isinstance(b, ast.Element)}
     other_defs = {n: b for n, b in defines.items() if n not in element_defs}
     if not other_defs:
@@ -369,28 +364,16 @@ def _inline(start, defines, source):
             return resolved.get(p.name, p)
         return _rebuild(p, kids)
 
+    roots = (n for p in (start, *element_defs.values()) for n in refs(p))
+    _, order, cycle = ast.depth_first(roots, lambda name: refs(other_defs[name]))
+    if cycle:
+        raise GrammarError.at(
+            "recursive definition without an intervening element: %s"
+            % " -> ".join(cycle), source, other_defs[cycle[-1]],
+        )
     resolved = {}
-    trail = {}  # the definitions being resolved, outermost first
-    todo = [(n for p in (start, *element_defs.values()) for n in refs(p))]
-    while todo:
-        for name in todo[-1]:
-            if name in resolved:
-                continue
-            if name in trail:
-                cycle = [*trail, name]
-                raise GrammarError(
-                    "recursive definition without an intervening element: %s"
-                    % " -> ".join(cycle[cycle.index(name):]),
-                    **_located(source, other_defs[name]),
-                )
-            trail[name] = None
-            todo.append(refs(other_defs[name]))
-            break
-        else:
-            todo.pop()
-            if trail:
-                name = trail.popitem()[0]
-                resolved[name] = ast.fold(other_defs[name], subst)
+    for name in order:
+        resolved[name] = ast.fold(other_defs[name], subst)
     return ast.fold(start, subst), {
         name: ast.fold(body, subst) for name, body in element_defs.items()
     }

@@ -158,18 +158,20 @@ class _Compiler:
             return _p_mul(*kids)
         if isinstance(p, ast.OneOrMore):
             return self.seq_class(p, kids[0])
-        raise CompileError("unexpected pattern node %s" % type(p).__name__)
+        self.fail("unexpected pattern node %s" % type(p).__name__, p)
+
+    def fail(self, message, node):
+        raise CompileError.at(message, self.grammar.source, node)
 
     def seq_class(self, node, pp):
         """The class of a oneOrMore node whose child has the polynomial pp."""
         # constant term: class variables all have zero constant term, so
         # only the bare (x^0, no classes) monomial contributes
         if pp.get(_ONE, 0):
-            line = node.loc[0] if node.loc else None
-            raise CompileError(
+            self.fail(
                 "oneOrMore applied to a pattern that can match empty "
                 "content, which would allow unbounded repetition at no size",
-                line=line,
+                node,
             )
         key = _canon(pp)
         name = self.seq_cache.get(key)
@@ -214,7 +216,7 @@ class _Compiler:
         }
         least = least_exponents(self.classes, equations)
         if least[start_name] == math.inf:
-            raise CompileError("the start pattern matches no documents")
+            self.fail("the start pattern matches no documents", g.start)
         classes = [name for name in self.classes if least[name] < math.inf]
         equations = {
             name: tuple(
@@ -273,29 +275,15 @@ _CONST_CAP = 1 << 63
 
 def same_size_order(reads):
     """The nodes of reads in an order that puts each after reads[node],
-    the nodes whose size-n terms its own size-n term reads.  It is the
-    postorder of depth first searches from each node in turn, with a
-    stack of edge iterators (todo[0] runs over the nodes) so no chain
-    passes the recursion limit.  A cycle is recursion at no size and
-    raises IllFoundedSystemError."""
-    order, trail, todo = {}, {}, [iter(reads)]  # trail: outermost first
-    while todo:
-        for nxt in todo[-1]:
-            if nxt in trail:
-                cycle = [*trail, nxt]
-                raise IllFoundedSystemError(
-                    "zero-size recursion cycle: %s"
-                    % " -> ".join(map(str, cycle[cycle.index(nxt):]))
-                )
-            if nxt not in order:
-                trail[nxt] = None
-                todo.append(iter(reads[nxt]))
-                break
-        else:
-            todo.pop()
-            if trail:
-                order[trail.popitem()[0]] = None
-    return list(order)
+    the nodes whose size-n terms its own size-n term reads: the postorder
+    of ast.depth_first from each node in turn.  A cycle is recursion at no
+    size and raises IllFoundedSystemError."""
+    _, order, cycle = ast.depth_first(reads, reads.__getitem__)
+    if cycle:
+        raise IllFoundedSystemError(
+            "zero-size recursion cycle: %s" % " -> ".join(map(str, cycle))
+        )
+    return order
 
 
 def check_well_founded(system):

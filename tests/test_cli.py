@@ -188,6 +188,31 @@ def test_malformed_grammar(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # refused by the parser's normal-form check
+        ('<oneOrMore><attribute name="k"/></oneOrMore>',
+         "attribute 'k' inside oneOrMore would repeat"),
+        # refused by the compiler
+        ("<oneOrMore><optional><text/></optional></oneOrMore>",
+         "oneOrMore applied to a pattern that can match empty content"),
+    ],
+    ids=["grammar", "compile"],
+)
+def test_grammar_and_compile_errors_are_located_alike(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.rng"
+    bad.write_text(
+        '<grammar xmlns="http://relaxng.org/ns/structure/1.0">\n'
+        '  <start><ref name="a"/></start>\n  <define name="a">\n'
+        '    <element name="a">%s</element>\n  </define>\n</grammar>\n' % content
+    )
+    assert main(["compile", str(bad)]) == EXIT_INPUT == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: %s:4:\d+: %s" % (re.escape(str(bad)), message), err), err
+    assert not (tmp_path / "bad.gfs").exists()
+
+
 def test_solver_divergence_exit_code(tmp_path, grammar_paths, capsys):
     grammar = tmp_path / "feed.rng"
     grammar.write_bytes(grammar_paths["feed"].read_bytes())

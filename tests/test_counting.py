@@ -3,6 +3,7 @@ enumeration of small size classes."""
 
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,19 @@ def random_system(rng):
             for (xexp, powers), coeff in sorted(merged.items())
         )
     return GfSystem(names, equations, names[0])
+
+
+def test_a_power_is_made_of_halves():
+    # b = x (1 + x)^E counts C(E, n - 1) at size n, whatever E's size
+    system = system_of("b = 1 1 a:1000000000\na = 1 0 + 1 1")
+    started = time.perf_counter()
+    series = count_coefficients(system, 5).series()
+    assert time.perf_counter() - started < 1
+    assert series == [0] + [math.comb(10**9, n - 1) for n in range(1, 6)]
+    # odd and even exponents split unevenly and evenly
+    for exp in (2, 3, 5, 7, 12):
+        system = system_of("b = 1 1 a:%d + 1 1 b:%d\na = 1 0 + 1 1 b:1" % (exp, exp))
+        assert count_coefficients(system, 10).counts == kleene_counts(system, 10)
 
 
 def test_counts_equal_the_reference_on_random_systems():

@@ -30,7 +30,7 @@ from boltzxml import (
     parse_grammar,
     solve,
 )
-from boltzxml.ast import from_canonical, to_canonical
+from boltzxml.ast import depth_first, from_canonical, to_canonical
 
 RNG = 'xmlns="http://relaxng.org/ns/structure/1.0"'
 
@@ -150,3 +150,14 @@ def test_a_deep_document_streams_its_events(monkeypatch):
         TextContent("text"),
         *(EndElement(name) for name in reversed(names)),
     ]
+
+
+def test_a_long_chain_searches_depth_first(monkeypatch):
+    refuse_recursion_limit(monkeypatch)
+    edges = {i: [i + 1] for i in range(4999)}
+    edges[4999] = []
+    assert depth_first([0], edges.__getitem__) == (
+        list(range(5000)), list(reversed(range(5000))), None
+    )
+    edges[4999] = [4997, 0]
+    assert depth_first([0], edges.__getitem__)[2] == [4997, 4998, 4999, 4997]

@@ -17,6 +17,7 @@ from boltzxml.ast import (
     Text,
     Value,
     check_normal_form,
+    depth_first,
     from_canonical,
     reachable,
     to_canonical,
@@ -168,6 +169,25 @@ def test_reachable_definitions_come_depth_first_in_preorder():
     assert reachable(Choice(Ref("a"), Ref("d")), defines) == ["a", "c", "b", "d"]
     assert reachable(Ref("e"), defines) == ["e", "a", "c", "b", "d"]
     assert reachable(NotAllowed(), defines) == []
+
+
+def test_depth_first_gives_both_orders_and_the_first_cycle():
+    # a diamond a-b-d, a-c-d; c loops on itself; d is reached twice; a is
+    # a root twice and is reached again from e, which f closes a cycle on
+    edges = {"a": "bc", "b": "d", "c": "dc", "d": "", "e": "af", "f": "e"}
+    assert depth_first("aae", edges.__getitem__) == (
+        list("abdcef"), list("dbcafe"), ["c", "c"]
+    )
+    # the path starts at the node the back edge enters, and a later back
+    # edge does not replace it
+    edges = {"x": "a", "a": "b", "b": "c", "c": "ax"}
+    assert depth_first("x", edges.__getitem__) == (
+        list("xabc"), list("cbax"), list("abca")
+    )
+    assert depth_first("ba", {"a": "b", "b": ""}.__getitem__) == (
+        ["b", "a"], ["b", "a"], None
+    )
+    assert depth_first((), edges.__getitem__) == ([], [], None)
 
 
 def test_element_ns_inherited_from_grammar():
